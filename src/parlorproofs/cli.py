@@ -125,7 +125,10 @@ def _poker_winner(args, out) -> int:
             raise _CliError(f"expected NAME=CATEGORY, got {item!r}")
         name, slug = item.split("=", 1)
         entries.append((name, _category(slug)))
-    report = hands.determine_winner(entries, spec)
+    try:
+        report = hands.determine_winner(entries, spec)
+    except ValueError as exc:
+        raise _CliError(str(exc))
     for name, cat in report.excluded:
         print(f"excluded: {name} ({cat.slug} is impossible in this deck)",
               file=out)

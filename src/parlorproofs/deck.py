@@ -39,6 +39,10 @@ class DeckSpec:
     ace_rule: AceRule = AceRule.BOTH
 
     def __post_init__(self) -> None:
+        for name in ("values", "suits", "wilds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidDeckError(f"{name} must be an int, got {value!r}")
         if self.values < 1:
             raise InvalidDeckError(f"values must be >= 1, got {self.values}")
         if self.suits < 1:

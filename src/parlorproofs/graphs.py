@@ -198,7 +198,7 @@ class Trail:
 
 
 def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
-    """An Eulerian trail, constructed by circuit splicing; or the negative
+    """An Eulerian trail, found by Hierholzer's algorithm; or the negative
     status when none exists.
 
     Deterministic: the walk always takes the unused incident edge with the
@@ -219,34 +219,26 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
     odd = odd_vertices(g)
     start = odd[0] if odd else min(v for e in g.edges for v in (e.u, e.v))
 
+    # Hierholzer: a vertex leaves the stack once its edges are used up, and
+    # the edge it arrived by is the trail's next step, read backwards.
     used: set = set()
-    vertex_stack: list = [start]
-    out_vertices: list = []
-    while vertex_stack:
-        vertex = vertex_stack[-1]
+    stack: list = [(start, None)]
+    steps: list = []
+    while stack:
+        vertex, arrived = stack[-1]
         lists = incidence[vertex]
         while lists and lists[-1].id in used:
             lists.pop()
         if lists:
             edge = lists.pop()
             used.add(edge.id)
-            vertex_stack.append(edge.other(vertex))
+            stack.append((edge.other(vertex), edge))
         else:
-            out_vertices.append(vertex_stack.pop())
-    out_vertices.reverse()
-    # Splicing can reorder arrival edges relative to the final vertex walk;
-    # re-attribute edge ids by matching each consecutive pair to an unused
-    # edge with those endpoints (parallel edges are interchangeable).
-    pool: dict = {}
-    for edge in g.edges:
-        pool.setdefault(frozenset((edge.u, edge.v)), []).append(edge.id)
-    for ids in pool.values():
-        ids.sort(reverse=True)
-    steps = tuple(
-        TrailStep(pool[frozenset((frm, to))].pop(), frm, to)
-        for frm, to in zip(out_vertices, out_vertices[1:])
-    )
-    return Trail(steps, out_vertices[0], out_vertices[-1])
+            stack.pop()
+            if arrived is not None:
+                steps.append(TrailStep(arrived.id, stack[-1][0], vertex))
+    steps.reverse()
+    return Trail(tuple(steps), start, steps[-1].to)
 
 
 def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",

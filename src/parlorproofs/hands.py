@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -66,7 +65,6 @@ ALLOWED_PLAYER_CATEGORIES = tuple(
 )
 
 
-@lru_cache(maxsize=None)
 def straight_runs(spec: DeckSpec) -> tuple:
     """Distinct 5-value consecutive runs, as frozensets.
 
@@ -84,58 +82,67 @@ def straight_runs(spec: DeckSpec) -> tuple:
     return tuple(runs)
 
 
-@lru_cache(maxsize=None)
-def top_run(spec: DeckSpec) -> Optional[frozenset]:
-    """The royal run V-4..V, or None when V < 5."""
-    if spec.values < 5:
-        return None
-    return frozenset(range(spec.values - 4, spec.values + 1))
+def _run_count(spec: DeckSpec) -> int:
+    """len(straight_runs(spec)) in O(1): V-4 runs, plus the wheel."""
+    V = spec.values
+    if V < 5:
+        return 0
+    return V - 4 + (V > 5 and spec.ace_rule is AceRule.BOTH)
 
 
-def _classify_counts(values: Sequence[int], suits: Sequence[int],
-                     runs: frozenset, royal: Optional[frozenset]) -> HandCategory:
-    """Classify 5 (value, suit) pairs given precomputed run sets.
+def classify_pairs(pairs: Sequence, spec: DeckSpec) -> HandCategory:
+    """Classify five (value, suit) pairs from their value multiplicities.
 
     Accepts multisets (duplicates arise from wild substitution); a hand with
     5 copies of one value maps to FOUR_OF_A_KIND, the strongest applicable
-    category in the ten-way taxonomy.
+    category in the ten-way taxonomy.  Pairs are not range-checked.
     """
-    counts: dict = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    shape = sorted(counts.values(), reverse=True)
+    (v1, s1), (v2, s2), (v3, s3), (v4, s4), (v5, s5) = pairs
+    distinct = {v1, v2, v3, v4, v5}
+    m = len(distinct)
+    if m == 5:
+        flush = s1 == s2 == s3 == s4 == s5
+        lo, _, _, fourth, hi = sorted(distinct)
+        if hi - lo == 4:
+            if flush:
+                return (HandCategory.ROYAL_FLUSH if hi == spec.values
+                        else HandCategory.STRAIGHT_FLUSH)
+            return HandCategory.STRAIGHT
+        # Five distinct values with the fourth at 4 are {1,2,3,4,hi}.
+        if fourth == 4 and hi == spec.values and spec.ace_rule is AceRule.BOTH:
+            return HandCategory.STRAIGHT_FLUSH if flush else HandCategory.STRAIGHT
+        return HandCategory.FLUSH if flush else HandCategory.HIGH_CARD
+    if m == 4:
+        return HandCategory.PAIR
+    values = (v1, v2, v3, v4, v5)
+    top = max(map(values.count, distinct))
+    if m == 3:
+        return HandCategory.THREE_OF_A_KIND if top == 3 else HandCategory.TWO_PAIR
+    if m == 2:
+        return HandCategory.FOUR_OF_A_KIND if top == 4 else HandCategory.FULL_HOUSE
+    return HandCategory.FOUR_OF_A_KIND  # five copies of one value
 
-    if shape[0] >= 4:
-        return HandCategory.FOUR_OF_A_KIND
-    if shape[0] == 3:
-        return HandCategory.FULL_HOUSE if shape[1] == 2 else HandCategory.THREE_OF_A_KIND
-    if shape[0] == 2:
-        return HandCategory.TWO_PAIR if shape[1] == 2 else HandCategory.PAIR
 
-    # Five distinct values: flush / straight territory.
-    value_set = frozenset(counts)
-    is_flush = len(set(suits)) == 1
-    is_run = value_set in runs
-    if is_flush and is_run:
-        return HandCategory.ROYAL_FLUSH if value_set == royal else HandCategory.STRAIGHT_FLUSH
-    if is_flush:
-        return HandCategory.FLUSH
-    if is_run:
-        return HandCategory.STRAIGHT
-    return HandCategory.HIGH_CARD
+def _check_cards(hand: Hand, spec: DeckSpec) -> None:
+    for card in hand.cards:
+        if card.is_wild:
+            legal = 1 <= card.index <= spec.wilds
+        else:
+            legal = 1 <= card.value <= spec.values and 1 <= card.suit <= spec.suits
+        if not legal:
+            raise ValueError(f"card {card} not legal for deck {spec}")
+
+
+def _pairs(cards: Iterable) -> list:
+    return [(c.value, c.suit) for c in cards]
 
 
 def classify(hand: Hand, spec: DeckSpec) -> HandCategory:
     """The unique highest-precedence category a wild-free hand satisfies."""
     if hand.wilds:
         raise WildInHandError("hand contains wilds; use classify_with_wilds")
-    cards = hand.naturals
-    for card in cards:
-        if not (1 <= card.value <= spec.values and 1 <= card.suit <= spec.suits):
-            raise ValueError(f"card {card} not legal for deck {spec}")
-    runs = frozenset(straight_runs(spec))
-    return _classify_counts([c.value for c in cards], [c.suit for c in cards],
-                            runs, top_run(spec))
+    _check_cards(hand, spec)
+    return classify_pairs(_pairs(hand.cards), spec)
 
 
 @dataclass(frozen=True)
@@ -151,35 +158,33 @@ class WildClassification:
     five_of_a_kind: bool
 
 
-@lru_cache(maxsize=None)
-def _natural_pairs(spec: DeckSpec) -> tuple:
-    return tuple((v, s) for v in range(1, spec.values + 1)
-                 for s in range(1, spec.suits + 1))
+def best_completion(naturals: Sequence, n_wilds: int, spec: DeckSpec,
+                    pool: Sequence) -> WildClassification:
+    """Brute-force the best substitution of n_wilds wilds by cards of `pool`.
 
-
-def _best_with_wilds(base_values: Sequence[int], base_suits: Sequence[int],
-                     n_wilds: int, spec: DeckSpec) -> WildClassification:
-    """Brute-force the best substitution of n_wilds wilds by natural cards."""
-    runs = frozenset(straight_runs(spec))
-    royal = top_run(spec)
-    base_values = list(base_values)
-    base_suits = list(base_suits)
-
+    `naturals` are the held (value, suit) pairs and `pool` the deck's natural
+    (value, suit) pairs; a substitution may duplicate a held card.
+    """
+    base = tuple(naturals)
     best = HandCategory.HIGH_CARD
     best_is_quint = False
-    for subs in product(_natural_pairs(spec), repeat=n_wilds):
-        values = base_values + [v for v, _ in subs]
-        suits = base_suits + [s for _, s in subs]
-        cat = _classify_counts(values, suits, runs, royal)
+    for subs in product(pool, repeat=n_wilds):
+        hand = base + subs
+        cat = classify_pairs(hand, spec)
         if cat < best:
             best = cat
             best_is_quint = (cat is HandCategory.FOUR_OF_A_KIND
-                             and max(values.count(v) for v in values) == 5)
+                             and _is_quint(hand))
             if best is HandCategory.ROYAL_FLUSH:
                 break
         elif cat is best is HandCategory.FOUR_OF_A_KIND and not best_is_quint:
-            best_is_quint = max(values.count(v) for v in values) == 5
+            best_is_quint = _is_quint(hand)
     return WildClassification(best, best_is_quint)
+
+
+def _is_quint(hand: tuple) -> bool:
+    v0 = hand[0][0]
+    return all(v == v0 for v, _ in hand)
 
 
 def classify_with_wilds_detail(hand: Hand, spec: DeckSpec) -> WildClassification:
@@ -188,12 +193,14 @@ def classify_with_wilds_detail(hand: Hand, spec: DeckSpec) -> WildClassification
     Substitutions may duplicate cards already held: a wild standing in for
     a card's value and suit is legal.
     """
-    naturals = hand.naturals
+    _check_cards(hand, spec)
+    naturals = _pairs(hand.naturals)
     n_wilds = len(hand.wilds)
     if n_wilds == 0:
-        return WildClassification(classify(hand, spec), False)
-    return _best_with_wilds([c.value for c in naturals],
-                            [c.suit for c in naturals], n_wilds, spec)
+        return WildClassification(classify_pairs(naturals, spec), False)
+    pool = [(v, s) for v in range(1, spec.values + 1)
+            for s in range(1, spec.suits + 1)]
+    return best_completion(naturals, n_wilds, spec, pool)
 
 
 def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:
@@ -211,32 +218,10 @@ def _require_wild_free(spec: DeckSpec) -> None:
 def count_category(category: HandCategory, spec: DeckSpec) -> int:
     """Closed-form count of 5-card hands in `category`; 0 when impossible."""
     _require_wild_free(spec)
-    V, S = spec.values, spec.suits
-    R = len(straight_runs(spec))
-    C = binomial
-
-    if category is HandCategory.ROYAL_FLUSH:
-        return S if V >= 5 else 0
-    if category is HandCategory.STRAIGHT_FLUSH:
-        return (R - 1) * S if V >= 5 else 0
-    if category is HandCategory.FOUR_OF_A_KIND:
-        # Second term: all five copies of one value, possible only with S >= 5.
-        return V * C(S, 4) * (V - 1) * S + V * C(S, 5)
-    if category is HandCategory.FULL_HOUSE:
-        return V * C(S, 3) * (V - 1) * C(S, 2)
-    if category is HandCategory.FLUSH:
-        return S * (C(V, 5) - R)
-    if category is HandCategory.STRAIGHT:
-        return R * (S ** 5 - S)
-    if category is HandCategory.THREE_OF_A_KIND:
-        return V * C(S, 3) * C(V - 1, 2) * S ** 2
-    if category is HandCategory.TWO_PAIR:
-        return C(V, 2) * C(S, 2) ** 2 * (V - 2) * S
-    if category is HandCategory.PAIR:
-        return V * C(S, 2) * C(V - 1, 3) * S ** 3
-    if category is HandCategory.HIGH_CARD:
-        return (C(V, 5) - R) * (S ** 5 - S)
-    raise ValueError(f"unknown category {category!r}")
+    count = 0
+    for term in _count_terms(category, spec):
+        count += _term_product(term)
+    return count
 
 
 @dataclass(frozen=True)
@@ -293,6 +278,11 @@ def determine_winner(entries: Iterable, spec: DeckSpec) -> WinnerReport:
     entries = list(entries)
     if not entries:
         raise ValueError("no players given")
+    seen: set = set()
+    for name, _ in entries:
+        if name in seen:
+            raise ValueError(f"duplicate player {name!r}")
+        seen.add(name)
 
     scored = [(name, cat, probability(cat, spec)) for name, cat in entries]
     excluded = tuple((name, cat) for name, cat, p in scored if p.count == 0)
@@ -310,103 +300,122 @@ def determine_winner(entries: Iterable, spec: DeckSpec) -> WinnerReport:
 # --- combinatorial proof documents -----------------------------------------
 
 
-@dataclass(frozen=True)
-class _Factor:
-    formula: str
-    value: int
-    desc: str
+# A factor is (value, desc, template, args); the formula text is
+# template.format(*args), built only when a proof document is rendered.
+
+def _choose(n: int, r: int, desc: str) -> tuple:
+    return (binomial(n, r), desc, "C({},{})", (n, r))
 
 
-def _choose(n: int, r: int, desc: str) -> _Factor:
-    return _Factor(f"C({n},{r})", binomial(n, r), desc)
+def _power(base: int, exp: int, desc: str) -> tuple:
+    return (base ** exp, desc, "{}^{}", (base, exp))
 
 
-def _power(base: int, exp: int, desc: str) -> _Factor:
-    return _Factor(f"{base}^{exp}", base ** exp, desc)
+def _non_run_values(V: int, R: int) -> tuple:
+    return (binomial(V, 5) - R,
+            "choose 5 values that do not form a consecutive run",
+            "(C({},5) - {})", (V, R))
 
 
-def _diff(formula: str, value: int, desc: str) -> _Factor:
-    return _Factor(formula, value, desc)
+def _mixed_suits(S: int) -> tuple:
+    return (S ** 5 - S,
+            "choose a suit for each value, excluding the all-one-suit picks",
+            "({}^5 - {})", (S, S))
+
+
+def _royal_flush(V: int, S: int, R: int) -> list:
+    if V < 5:
+        return []
+    return [[_choose(S, 1, "choose the suit of the top run")]]
+
+
+def _straight_flush(V: int, S: int, R: int) -> list:
+    if V < 5:
+        return []
+    return [[
+        _choose(R - 1, 1, "choose a run of 5 consecutive values below the top run"),
+        _choose(S, 1, "choose the shared suit"),
+    ]]
+
+
+def _four_of_a_kind(V: int, S: int, R: int) -> list:
+    terms = [[
+        _choose(V, 1, "choose the value appearing four times"),
+        _choose(S, 4, "choose 4 of the suits for that value"),
+        _choose(V - 1, 1, "choose the value of the additional card"),
+        _choose(S, 1, "choose its suit"),
+    ]]
+    if S >= 5:
+        terms.append([
+            _choose(V, 1, "choose a value appearing five times"),
+            _choose(S, 5, "choose 5 of its suits"),
+        ])
+    return terms
+
+
+def _full_house(V: int, S: int, R: int) -> list:
+    return [[
+        _choose(V, 1, "choose the value for the triple"),
+        _choose(S, 3, "choose 3 of the suits for the triple"),
+        _choose(V - 1, 1, "choose a different value for the pair"),
+        _choose(S, 2, "choose 2 of the suits for the pair"),
+    ]]
+
+
+def _flush(V: int, S: int, R: int) -> list:
+    return [[_choose(S, 1, "choose the shared suit"), _non_run_values(V, R)]]
+
+
+def _straight(V: int, S: int, R: int) -> list:
+    return [[_choose(R, 1, "choose the run of 5 consecutive values"),
+             _mixed_suits(S)]]
+
+
+def _three_of_a_kind(V: int, S: int, R: int) -> list:
+    return [[
+        _choose(V, 1, "choose the value for the triple"),
+        _choose(S, 3, "choose 3 of the suits for the triple"),
+        _choose(V - 1, 2, "choose 2 different values for the remaining cards"),
+        _power(S, 2, "choose a suit for each of those values"),
+    ]]
+
+
+def _two_pair(V: int, S: int, R: int) -> list:
+    return [[
+        _choose(V, 2, "choose the two paired values"),
+        (binomial(S, 2) ** 2, "choose 2 suits for each pair", "C({},2)^2", (S,)),
+        _choose(V - 2, 1, "choose the value of the additional card"),
+        _choose(S, 1, "choose its suit"),
+    ]]
+
+
+def _pair(V: int, S: int, R: int) -> list:
+    return [[
+        _choose(V, 1, "choose the paired value"),
+        _choose(S, 2, "choose 2 of its suits"),
+        _choose(V - 1, 3, "choose 3 different values for the remaining cards"),
+        _power(S, 3, "choose a suit for each of those values"),
+    ]]
+
+
+def _high_card(V: int, S: int, R: int) -> list:
+    return [[_non_run_values(V, R), _mixed_suits(S)]]
+
+
+# A table rather than an if-chain on the category: count requests are short,
+# and each HandCategory member lookup in a chain costs as much as a factor.
+_TERMS = dict(zip(HandCategory, (  # in HandCategory order
+    _royal_flush, _straight_flush, _four_of_a_kind, _full_house, _flush,
+    _straight, _three_of_a_kind, _two_pair, _pair, _high_card)))
 
 
 def _count_terms(category: HandCategory, spec: DeckSpec) -> list:
     """Choice-step factorizations per category; count = sum of term products."""
-    V, S = spec.values, spec.suits
-    R = len(straight_runs(spec))
-    C = binomial
-
-    if category is HandCategory.ROYAL_FLUSH:
-        if V < 5:
-            return []
-        return [[_choose(S, 1, "choose the suit of the top run")]]
-    if category is HandCategory.STRAIGHT_FLUSH:
-        if V < 5:
-            return []
-        return [[
-            _choose(R - 1, 1, "choose a run of 5 consecutive values below the top run"),
-            _choose(S, 1, "choose the shared suit"),
-        ]]
-    if category is HandCategory.FOUR_OF_A_KIND:
-        terms = [[
-            _choose(V, 1, "choose the value appearing four times"),
-            _choose(S, 4, "choose 4 of the suits for that value"),
-            _choose(V - 1, 1, "choose the value of the additional card"),
-            _choose(S, 1, "choose its suit"),
-        ]]
-        if S >= 5:
-            terms.append([
-                _choose(V, 1, "choose a value appearing five times"),
-                _choose(S, 5, "choose 5 of its suits"),
-            ])
-        return terms
-    if category is HandCategory.FULL_HOUSE:
-        return [[
-            _choose(V, 1, "choose the value for the triple"),
-            _choose(S, 3, "choose 3 of the suits for the triple"),
-            _choose(V - 1, 1, "choose a different value for the pair"),
-            _choose(S, 2, "choose 2 of the suits for the pair"),
-        ]]
-    if category is HandCategory.FLUSH:
-        return [[
-            _choose(S, 1, "choose the shared suit"),
-            _diff(f"(C({V},5) - {R})", C(V, 5) - R,
-                  "choose 5 values that do not form a consecutive run"),
-        ]]
-    if category is HandCategory.STRAIGHT:
-        return [[
-            _choose(R, 1, "choose the run of 5 consecutive values"),
-            _diff(f"({S}^5 - {S})", S ** 5 - S,
-                  "choose a suit for each value, excluding the all-one-suit picks"),
-        ]]
-    if category is HandCategory.THREE_OF_A_KIND:
-        return [[
-            _choose(V, 1, "choose the value for the triple"),
-            _choose(S, 3, "choose 3 of the suits for the triple"),
-            _choose(V - 1, 2, "choose 2 different values for the remaining cards"),
-            _power(S, 2, "choose a suit for each of those values"),
-        ]]
-    if category is HandCategory.TWO_PAIR:
-        return [[
-            _choose(V, 2, "choose the two paired values"),
-            _diff(f"C({S},2)^2", C(S, 2) ** 2, "choose 2 suits for each pair"),
-            _choose(V - 2, 1, "choose the value of the additional card"),
-            _choose(S, 1, "choose its suit"),
-        ]]
-    if category is HandCategory.PAIR:
-        return [[
-            _choose(V, 1, "choose the paired value"),
-            _choose(S, 2, "choose 2 of its suits"),
-            _choose(V - 1, 3, "choose 3 different values for the remaining cards"),
-            _power(S, 3, "choose a suit for each of those values"),
-        ]]
-    if category is HandCategory.HIGH_CARD:
-        return [[
-            _diff(f"(C({V},5) - {R})", C(V, 5) - R,
-                  "choose 5 values that do not form a consecutive run"),
-            _diff(f"({S}^5 - {S})", S ** 5 - S,
-                  "choose a suit for each value, excluding the all-one-suit picks"),
-        ]]
-    raise ValueError(f"unknown category {category!r}")
+    try:
+        terms = _TERMS[category]
+    except KeyError:
+        raise ValueError(f"unknown category {category!r}") from None
+    return terms(spec.values, spec.suits, _run_count(spec))
 
 
 def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument:
@@ -431,14 +440,14 @@ def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument
         ))
     else:
         for term in terms:
-            for factor in term:
+            formulas = [template.format(*args) for _, _, template, args in term]
+            for (value, desc, _, _), formula in zip(term, formulas):
                 steps.append(ProofStep(
-                    StepKind.COMPUTATION,
-                    f"{factor.desc}: {factor.formula} = {factor.value}",
+                    StepKind.COMPUTATION, f"{desc}: {formula} = {value}",
                 ))
             steps.append(ProofStep(
                 StepKind.COMPUTATION,
-                "·".join(f.formula for f in term) + f" = {_term_product(term)}",
+                "·".join(formulas) + f" = {_term_product(term)}",
             ))
         if len(terms) > 1:
             steps.append(ProofStep(
@@ -462,5 +471,5 @@ def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument
 def _term_product(term: list) -> int:
     out = 1
     for factor in term:
-        out *= factor.value
+        out *= factor[0]
     return out

@@ -1,9 +1,10 @@
 """Brute-force ground truth: enumerate every 5-card hand and tally categories.
 
-This module is the independent check on the closed forms in
-`parlorproofs.hands`; it never calls count_category.  Enumeration walks
-combinations in lexicographic index order and classifies each hand from its
-value/suit multiplicity histogram.
+Enumeration walks combinations in lexicographic index order.  Each hand is
+classified by `hands.classify_pairs`, the classifier behind `classify`, and
+each wild hand by `hands.best_completion`.  The tallies check the closed
+forms in `hands`; the classifier itself is checked by `tests/independent.py`
+and `bench/reference.py`, which share no code with the library.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .deck import DeckSpec, binomial, make_deck
-from .hands import (HandCategory, WildCardsUnsupportedError, _best_with_wilds,
-                    count_category, straight_runs, top_run)
+from .hands import (HandCategory, WildCardsUnsupportedError, best_completion,
+                    classify_pairs, count_category)
 
 DEFAULT_ENUMERATION_CAP = 10 ** 8
 
@@ -23,42 +24,11 @@ class EnumerationCapError(ValueError):
     """The deck's hand count exceeds the configured enumeration cap."""
 
 
-def _classify_pairs(hand, runs, royal) -> HandCategory:
-    """Classify 5 (value, suit) pairs of distinct natural cards."""
-    counts: dict = {}
-    for v, _ in hand:
-        counts[v] = counts.get(v, 0) + 1
-    m = len(counts)
-    if m == 5:
-        value_set = frozenset(counts)
-        s0 = hand[0][1]
-        flush = all(s == s0 for _, s in hand)
-        run = value_set in runs
-        if flush and run:
-            return (HandCategory.ROYAL_FLUSH if value_set == royal
-                    else HandCategory.STRAIGHT_FLUSH)
-        if flush:
-            return HandCategory.FLUSH
-        if run:
-            return HandCategory.STRAIGHT
-        return HandCategory.HIGH_CARD
-    if m == 4:
-        return HandCategory.PAIR
-    if m == 3:
-        return (HandCategory.THREE_OF_A_KIND if 3 in counts.values()
-                else HandCategory.TWO_PAIR)
-    if m == 2:
-        return (HandCategory.FOUR_OF_A_KIND if 4 in counts.values()
-                else HandCategory.FULL_HOUSE)
-    return HandCategory.FOUR_OF_A_KIND  # five copies of one value (S >= 5)
-
-
 def _tally_chunk(spec: DeckSpec, first_lo: int, first_hi: int) -> dict:
     """Tally hands whose lowest deck index lies in [first_lo, first_hi)."""
     deck = make_deck(spec)
     pairs = [None if c.is_wild else (c.value, c.suit) for c in deck]
-    runs = frozenset(straight_runs(spec))
-    royal = top_run(spec)
+    pool = pairs[:spec.values * spec.suits]
     tallies = {cat: 0 for cat in HandCategory}
 
     for i in range(first_lo, first_hi):
@@ -68,12 +38,10 @@ def _tally_chunk(spec: DeckSpec, first_lo: int, first_hi: int) -> dict:
             hand = (first,) + combo
             if None in hand:
                 naturals = [p for p in hand if p is not None]
-                best = _best_with_wilds([v for v, _ in naturals],
-                                        [s for _, s in naturals],
-                                        5 - len(naturals), spec)
+                best = best_completion(naturals, 5 - len(naturals), spec, pool)
                 tallies[best.category] += 1
             else:
-                tallies[_classify_pairs(hand, runs, royal)] += 1
+                tallies[classify_pairs(hand, spec)] += 1
     return tallies
 
 

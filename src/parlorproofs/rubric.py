@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 LEVEL_LABELS = {
@@ -31,14 +32,14 @@ class MarkSheetError(ValueError):
 def _parse_half_points(token: str, context: str) -> int:
     """Parse a value with 0.5 granularity into half-points."""
     try:
-        doubled = float(token) * 2
+        doubled = Fraction(token) * 2
     except ValueError:
         raise MarkSheetError(f"{context}: not a number: {token!r}") from None
-    if doubled != int(doubled):
+    if doubled.denominator != 1:
         raise MarkSheetError(
             f"{context}: values are limited to 0.5 granularity, got {token}"
         )
-    return int(doubled)
+    return doubled.numerator
 
 
 def _render_half_points(hp: int) -> str:

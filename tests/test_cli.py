@@ -66,6 +66,11 @@ class TestPokerCommands:
         assert code == 0
         assert "Tie: A, B" in out
 
+    def test_winner_duplicate_player_is_a_usage_error(self):
+        code, out = invoke("poker", "winner", "al=flush", "al=pair")
+        assert code == 2
+        assert out == ""
+
     def test_winner_impossible_entry(self):
         code, out = invoke("poker", "winner", "--suits", "2", "A=full-house")
         assert code == 1

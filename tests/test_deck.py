@@ -27,6 +27,19 @@ class TestDeckSpec:
     def test_wilds_can_complete_a_deck(self):
         assert DeckSpec(values=2, suits=2, wilds=1).size == 5
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(values=13.5),
+        dict(values="13"),
+        dict(values=True, suits=5),
+        dict(suits=4.0),
+        dict(suits=False),
+        dict(wilds=1.0),
+        dict(wilds=True),
+    ])
+    def test_non_integer_parameters_rejected(self, kwargs):
+        with pytest.raises(InvalidDeckError, match="must be an int"):
+            DeckSpec(**kwargs)
+
 
 class TestMakeDeck:
     def test_standard_has_52_cards(self):

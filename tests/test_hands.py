@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,6 +58,17 @@ class TestStraightRuns:
 
     def test_no_runs_below_five_values(self):
         assert straight_runs(DeckSpec(values=4, suits=2)) == ()
+
+    @pytest.mark.parametrize("ace_rule", list(AceRule))
+    def test_suited_run_counts_match_straight_runs(self, ace_rule):
+        for v in range(1, 41):
+            for s in range(1, 7):
+                if v * s < 5:
+                    continue
+                spec = DeckSpec(values=v, suits=s, ace_rule=ace_rule)
+                suited = (count_category(HandCategory.STRAIGHT_FLUSH, spec)
+                          + count_category(HandCategory.ROYAL_FLUSH, spec))
+                assert suited == s * len(straight_runs(spec)), spec
 
 
 class TestClassify:
@@ -144,6 +156,14 @@ class TestClassifyWithWilds:
         hand = parse_hand("QS KS AS W1 W2", spec)
         assert classify_with_wilds(hand, spec) is HandCategory.ROYAL_FLUSH
 
+    @pytest.mark.parametrize("cards", [
+        {Card(20, 9), Card(1, 1), Card(2, 1), Card(3, 1), Wild(1)},
+        {Card(1, 1), Card(2, 1), Card(3, 1), Card(4, 1), Wild(7)},
+    ])
+    def test_cards_outside_the_deck_rejected(self, cards):
+        with pytest.raises(ValueError, match="not legal"):
+            classify_with_wilds(Hand(frozenset(cards)), self.SPEC)
+
     def test_monotone_over_any_fixed_substitution(self):
         rng = random.Random(99)
         deck = make_deck(self.SPEC)
@@ -174,6 +194,20 @@ class TestCounts:
             count_category(HandCategory.PAIR, DeckSpec(wilds=1))
         with pytest.raises(WildCardsUnsupportedError):
             probability(HandCategory.PAIR, DeckSpec(wilds=1))
+
+    def test_straight_count_at_a_billion_values(self):
+        V = 10 ** 9
+        assert count_category(HandCategory.STRAIGHT, DeckSpec(values=V)) \
+            == (V - 3) * (4 ** 5 - 4)
+
+    def test_count_memory_does_not_grow_with_values(self):
+        tracemalloc.start()
+        try:
+            count_category(HandCategory.STRAIGHT, DeckSpec(values=2_000_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("spec", SMALL_SPECS)
     def test_partition_of_sample_space(self, spec):
@@ -229,6 +263,11 @@ class TestDetermineWinner:
     def test_empty_entries_rejected(self):
         with pytest.raises(ValueError):
             determine_winner([], STANDARD_DECK)
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError, match="duplicate player 'al'"):
+            determine_winner([("al", HandCategory.FLUSH),
+                              ("al", HandCategory.PAIR)], STANDARD_DECK)
 
     @settings(max_examples=50)
     @given(st.permutations([("Bond", HandCategory.FULL_HOUSE),

@@ -169,3 +169,15 @@ class TestParseMarks:
     def test_unrecognized_line(self):
         with pytest.raises(MarkSheetError, match="line 1"):
             parse_marks("score everything 100\n")
+
+    def test_large_awards_are_exact(self):
+        # 2**53 + 1 has no float; parsing through float loses the last unit.
+        sheet = parse_marks('award "x" 9007199254740993\n')
+        assert sheet.awards_hp == (("x", 18014398509481986),)
+        sheet = parse_marks('award "x" 9007199254740993.5\n')
+        assert sheet.awards_hp == (("x", 18014398509481987),)
+
+    @pytest.mark.parametrize("token", [".", "1.2.3"])
+    def test_malformed_numbers_rejected(self, token):
+        with pytest.raises(MarkSheetError, match="not a number"):
+            parse_marks(f'award "x" {token}\n')
