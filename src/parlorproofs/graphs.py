@@ -139,24 +139,27 @@ class EulerianStatus(Enum):
     DISCONNECTED = "Disconnected"
 
 
-def _edge_connected(g: Multigraph) -> bool:
-    """True when all edge-incident vertices lie in one component."""
-    incident = {v for e in g.edges for v in (e.u, e.v)}
-    if not incident:
-        return True
-    adjacency: dict = {v: set() for v in incident}
+def _edge_components(g: Multigraph) -> list:
+    """Vertex sets of the components that hold edges; isolated vertices
+    are left out."""
+    adjacency: dict = {}
     for e in g.edges:
-        adjacency[e.u].add(e.v)
-        adjacency[e.v].add(e.u)
-    seen = set()
-    stack = [min(incident)]
-    while stack:
-        v = stack.pop()
-        if v in seen:
+        adjacency.setdefault(e.u, set()).add(e.v)
+        adjacency.setdefault(e.v, set()).add(e.u)
+    components: list = []
+    seen: set = set()
+    for root in adjacency:
+        if root in seen:
             continue
-        seen.add(v)
-        stack.extend(adjacency[v] - seen)
-    return seen == incident
+        component = {root}
+        stack = [root]
+        while stack:
+            fresh = adjacency[stack.pop()] - component
+            component |= fresh
+            stack.extend(fresh)
+        seen |= component
+        components.append(component)
+    return components
 
 
 def eulerian_status(g: Multigraph) -> EulerianStatus:
@@ -164,7 +167,7 @@ def eulerian_status(g: Multigraph) -> EulerianStatus:
     are ignored)."""
     if g.edge_count == 0:
         raise DegenerateGraphError("graph has no edges")
-    if not _edge_connected(g):
+    if len(_edge_components(g)) > 1:
         return EulerianStatus.DISCONNECTED
     odd = len(odd_vertices(g))
     if odd == 0:
@@ -246,19 +249,49 @@ def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",
                         place_name: str = "the graph") -> ProofDocument:
     """Claim-Proof document that no trail of g contains every edge.
 
-    Only valid when eulerian_status(g) is NO_TRAIL; the step order is
-    claim, model, counts, reduction, parity lemma, odd list, contradiction,
-    qed.
+    Valid when eulerian_status(g) is NO_TRAIL (the parity argument) or
+    DISCONNECTED (the connectivity argument); the step order is claim,
+    model, counts, reduction, lemma, observation, contradiction, qed.
     """
     status = eulerian_status(g)
-    if status is not EulerianStatus.NO_TRAIL:
+    if status is EulerianStatus.NO_TRAIL:
+        odd = odd_vertices(g)
+        argument = (
+            ProofStep(StepKind.LEMMA,
+                      "Except possibly for its beginning and ending vertices, "
+                      "every vertex of a trail T touches an even number of "
+                      "edges of T, because each middle vertex is entered by "
+                      "one edge and exited by another."),
+            ProofStep(StepKind.OBSERVATION,
+                      f"However, G has {len(odd)} vertices of odd degree: "
+                      + ", ".join(odd) + "."),
+            ProofStep(StepKind.CONTRADICTION,
+                      f"A trail containing every edge of G would leave at "
+                      f"most two vertices of odd degree, yet {len(odd)} > 2 "
+                      f"are odd. Hence no trail contains every edge of G, "
+                      f"and no such route exists."),
+        )
+    elif status is EulerianStatus.DISCONNECTED:
+        firsts = sorted(min(c) for c in _edge_components(g))
+        argument = (
+            ProofStep(StepKind.LEMMA,
+                      "Consecutive edges of a trail T share a vertex, so all "
+                      "edges of T lie in one connected component of G."),
+            ProofStep(StepKind.OBSERVATION,
+                      f"However, the edges of G lie in {len(firsts)} "
+                      f"connected components, one containing each of "
+                      + ", ".join(firsts) + "."),
+            ProofStep(StepKind.CONTRADICTION,
+                      f"A trail containing every edge of G would put edges "
+                      f"of {len(firsts)} components into one component. "
+                      f"Hence no trail contains every edge of G, and no such "
+                      f"route exists."),
+        )
+    else:
         raise ProofContractError(
             f"graph status is {status.value}; an impossibility proof needs "
-            f"more than two odd-degree vertices in a connected graph"
+            f"a graph without a trail through every edge"
         )
-    odd = odd_vertices(g)
-    n_vertices = len(g.vertices)
-    n_edges = g.edge_count
 
     steps = (
         ProofStep(StepKind.CLAIM,
@@ -268,24 +301,11 @@ def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",
                   f"Represent {place_name} with a graph G: draw a vertex for "
                   f"each {vertex_noun} and an edge for each {edge_noun}."),
         ProofStep(StepKind.COUNT,
-                  f"G consists of {n_vertices} vertices and {n_edges} edges."),
+                  f"G consists of {len(g.vertices)} vertices and "
+                  f"{g.edge_count} edges."),
         ProofStep(StepKind.OBSERVATION,
                   "It suffices to prove that no trail in G contains every "
                   "edge of G."),
-        ProofStep(StepKind.LEMMA,
-                  "Except possibly for its beginning and ending vertices, "
-                  "every vertex of a trail T touches an even number of edges "
-                  "of T, because each middle vertex is entered by one edge "
-                  "and exited by another."),
-        ProofStep(StepKind.OBSERVATION,
-                  f"However, G has {len(odd)} vertices of odd degree: "
-                  + ", ".join(odd) + "."),
-        ProofStep(StepKind.CONTRADICTION,
-                  f"A trail containing every edge of G would leave at most "
-                  f"two vertices of odd degree, yet {len(odd)} > 2 are odd. "
-                  f"Hence no trail contains every edge of G, and no such "
-                  f"route exists."),
-        ProofStep(StepKind.QED, "∎"),
-    )
+    ) + argument + (ProofStep(StepKind.QED, "∎"),)
     title = f"No complete route through {place_name}"
     return ProofDocument(title, steps)

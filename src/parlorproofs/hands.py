@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .deck import AceRule, DeckSpec, Hand, binomial
@@ -93,9 +92,9 @@ def _run_count(spec: DeckSpec) -> int:
 def classify_pairs(pairs: Sequence, spec: DeckSpec) -> HandCategory:
     """Classify five (value, suit) pairs from their value multiplicities.
 
-    Accepts multisets (duplicates arise from wild substitution); a hand with
-    5 copies of one value maps to FOUR_OF_A_KIND, the strongest applicable
-    category in the ten-way taxonomy.  Pairs are not range-checked.
+    Accepts multisets; a hand with 5 copies of one value maps to
+    FOUR_OF_A_KIND, the strongest applicable category in the ten-way
+    taxonomy.  Pairs are not range-checked.
     """
     (v1, s1), (v2, s2), (v3, s3), (v4, s4), (v5, s5) = pairs
     distinct = {v1, v2, v3, v4, v5}
@@ -158,37 +157,73 @@ class WildClassification:
     five_of_a_kind: bool
 
 
-def best_completion(naturals: Sequence, n_wilds: int, spec: DeckSpec,
-                    pool: Sequence) -> WildClassification:
-    """Brute-force the best substitution of n_wilds wilds by cards of `pool`.
+# Shared results: a new frozen instance per call took over a quarter of
+# best_completion's time in the oracle.
+_COMPLETIONS = {cat: WildClassification(cat, False) for cat in HandCategory}
+_FIVE_OF_A_KIND = WildClassification(HandCategory.FOUR_OF_A_KIND, True)
 
-    `naturals` are the held (value, suit) pairs and `pool` the deck's natural
-    (value, suit) pairs; a substitution may duplicate a held card.
+
+def best_completion(naturals: Sequence, n_wilds: int,
+                    spec: DeckSpec) -> WildClassification:
+    """Best category of the held (value, suit) pairs `naturals` completed by
+    n_wilds >= 1 wilds, each standing for any natural card, held ones
+    included.
+
+    Decided from the held cards alone, in O(1) for a 5-card hand.  With
+    `top` the largest held value count, the first line that holds wins:
+    royal or straight flush when V >= 5 and the held values are distinct,
+    suited and fit a run (royal when all of them are >= V-4); four of a kind
+    when top + k >= 4 (five of a kind when top + k >= 5); full house with at
+    most two held values; flush when V >= 5 and the held values are distinct
+    and suited; straight when V >= 5 and they are distinct and fit a run;
+    three of a kind when top + k >= 3; otherwise a pair.
     """
-    base = tuple(naturals)
-    best = HandCategory.HIGH_CARD
-    best_is_quint = False
-    for subs in product(pool, repeat=n_wilds):
-        hand = base + subs
-        cat = classify_pairs(hand, spec)
-        if cat < best:
-            best = cat
-            best_is_quint = (cat is HandCategory.FOUR_OF_A_KIND
-                             and _is_quint(hand))
-            if best is HandCategory.ROYAL_FLUSH:
-                break
-        elif cat is best is HandCategory.FOUR_OF_A_KIND and not best_is_quint:
-            best_is_quint = _is_quint(hand)
-    return WildClassification(best, best_is_quint)
+    values = sorted([v for v, _ in naturals])
+    distinct = set(values)
+    if len(distinct) < len(values):
+        # A repeated value rules out every flush and straight.
+        same = max(map(values.count, distinct)) + n_wilds
+        if same >= 4:
+            return _n_of_a_kind(same)
+        if len(distinct) <= 2:
+            return _COMPLETIONS[HandCategory.FULL_HOUSE]
+        return _COMPLETIONS[HandCategory.THREE_OF_A_KIND if same >= 3
+                            else HandCategory.PAIR]
+
+    V = spec.values
+    suited = run = False
+    if V >= 5:
+        suited = len({s for _, s in naturals}) <= 1
+        # Distinct values fit a run when they span at most five, or, with the
+        # ace playing low, when all but the top one are <= 4 and it is V.
+        run = (not values or values[-1] - values[0] <= 4
+               or (spec.ace_rule is AceRule.BOTH and values[-2] <= 4
+                   and values[-1] == V))
+    if suited and run:
+        royal = not values or values[0] >= V - 4
+        return _COMPLETIONS[HandCategory.ROYAL_FLUSH if royal
+                            else HandCategory.STRAIGHT_FLUSH]
+    same = bool(values) + n_wilds  # the top count is 1, or 0 with no naturals
+    if same >= 4:
+        return _n_of_a_kind(same)
+    # Three or more distinct values are held here (fewer leave k >= 3 wilds
+    # and four of a kind), so no full house is in reach.
+    if suited:
+        return _COMPLETIONS[HandCategory.FLUSH]
+    if run:
+        return _COMPLETIONS[HandCategory.STRAIGHT]
+    return _COMPLETIONS[HandCategory.THREE_OF_A_KIND if same >= 3
+                        else HandCategory.PAIR]
 
 
-def _is_quint(hand: tuple) -> bool:
-    v0 = hand[0][0]
-    return all(v == v0 for v, _ in hand)
+def _n_of_a_kind(same: int) -> WildClassification:
+    return (_FIVE_OF_A_KIND if same >= 5
+            else _COMPLETIONS[HandCategory.FOUR_OF_A_KIND])
 
 
 def classify_with_wilds_detail(hand: Hand, spec: DeckSpec) -> WildClassification:
-    """Best category over all substitutions of each wild by any natural card.
+    """Best category over all substitutions of each wild by any natural card,
+    as decided by best_completion.
 
     Substitutions may duplicate cards already held: a wild standing in for
     a card's value and suit is legal.
@@ -197,10 +232,8 @@ def classify_with_wilds_detail(hand: Hand, spec: DeckSpec) -> WildClassification
     naturals = _pairs(hand.naturals)
     n_wilds = len(hand.wilds)
     if n_wilds == 0:
-        return WildClassification(classify_pairs(naturals, spec), False)
-    pool = [(v, s) for v in range(1, spec.values + 1)
-            for s in range(1, spec.suits + 1)]
-    return best_completion(naturals, n_wilds, spec, pool)
+        return _COMPLETIONS[classify_pairs(naturals, spec)]
+    return best_completion(naturals, n_wilds, spec)
 
 
 def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:

@@ -1,11 +1,11 @@
 """Independent brute-force checkers used by the tests.
 
 These deliberately avoid the library's classification and trail code paths:
-the classifier works from the category definitions via Counter histograms
+the classifier works from the category definitions via value-count shapes
 and predicate checks, and the trail search is plain backtracking.
 """
 
-from collections import Counter
+from itertools import combinations_with_replacement
 
 from parlorproofs.deck import AceRule, DeckSpec
 from parlorproofs.hands import HandCategory
@@ -28,49 +28,72 @@ def naive_classify(cards, spec: DeckSpec) -> HandCategory:
     Accepts multisets (wild substitutions may duplicate held cards); five
     copies of one value falls into FOUR_OF_A_KIND.
     """
-    values = Counter(v for v, _ in cards)
-    suits = {s for _, s in cards}
-    shape = sorted(values.values(), reverse=True)
-    distinct = frozenset(values)
+    return naive_classifier(spec)(cards)
+
+
+def naive_classifier(spec: DeckSpec):
+    """naive_classify for one deck, with the deck's runs worked out once."""
     runs = run_value_sets(spec)
     top = frozenset(range(spec.values - 4, spec.values + 1)) if spec.values >= 5 else None
 
-    is_flush = len(suits) == 1
-    is_straight = len(distinct) == 5 and distinct in runs
+    def classify(cards) -> HandCategory:
+        values = [v for v, _ in cards]
+        suits = {s for _, s in cards}
+        distinct = frozenset(values)
+        shape = sorted(map(values.count, distinct), reverse=True)
 
-    if is_flush and distinct == top:
-        return HandCategory.ROYAL_FLUSH
-    if is_flush and is_straight:
-        return HandCategory.STRAIGHT_FLUSH
-    if shape[0] >= 4:
-        return HandCategory.FOUR_OF_A_KIND
-    if shape[:2] == [3, 2]:
-        return HandCategory.FULL_HOUSE
-    if is_flush:
-        return HandCategory.FLUSH
-    if is_straight:
-        return HandCategory.STRAIGHT
-    if shape[0] == 3:
-        return HandCategory.THREE_OF_A_KIND
-    if shape[:2] == [2, 2]:
-        return HandCategory.TWO_PAIR
-    if shape[0] == 2:
-        return HandCategory.PAIR
-    return HandCategory.HIGH_CARD
+        # A flush needs five values: one suit with a repeated value (a wild
+        # copying a held card) is no flush.
+        is_flush = len(suits) == 1 and len(distinct) == 5
+        is_straight = len(distinct) == 5 and distinct in runs
+
+        if is_flush and distinct == top:
+            return HandCategory.ROYAL_FLUSH
+        if is_flush and is_straight:
+            return HandCategory.STRAIGHT_FLUSH
+        if shape[0] >= 4:
+            return HandCategory.FOUR_OF_A_KIND
+        if shape[:2] == [3, 2]:
+            return HandCategory.FULL_HOUSE
+        if is_flush:
+            return HandCategory.FLUSH
+        if is_straight:
+            return HandCategory.STRAIGHT
+        if shape[0] == 3:
+            return HandCategory.THREE_OF_A_KIND
+        if shape[:2] == [2, 2]:
+            return HandCategory.TWO_PAIR
+        if shape[0] == 2:
+            return HandCategory.PAIR
+        return HandCategory.HIGH_CARD
+
+    return classify
 
 
 def best_over_substitutions(naturals, n_wilds, spec: DeckSpec) -> HandCategory:
-    """Max (strongest) category over every explicit wild substitution."""
-    from itertools import product
+    """Max (strongest) category over every explicit wild substitution.
 
+    Wilds are interchangeable, so each multiset of substitute cards is tried
+    once rather than in every order.
+    """
     deck = [(v, s) for v in range(1, spec.values + 1)
             for s in range(1, spec.suits + 1)]
+    classify = naive_classifier(spec)
+    held = tuple(naturals)
     best = HandCategory.HIGH_CARD
-    for subs in product(deck, repeat=n_wilds):
-        cat = naive_classify(list(naturals) + list(subs), spec)
+    for subs in combinations_with_replacement(deck, n_wilds):
+        cat = classify(held + subs)
         if cat < best:
             best = cat
+            if best is HandCategory.ROYAL_FLUSH:
+                break
     return best
+
+
+def five_of_a_kind_reachable(naturals) -> bool:
+    """Whether some substitution makes five cards of one value: each wild
+    can copy a held value, so exactly when the held values are all equal."""
+    return len({v for v, _ in naturals}) <= 1
 
 
 def trail_exists_backtracking(edge_pairs) -> bool:

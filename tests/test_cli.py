@@ -133,6 +133,17 @@ class TestGraphCommands:
         code, _ = invoke("graph", "proof", cycle_file)
         assert code == 1
 
+    def test_proof_on_disconnected_graph(self, tmp_path):
+        path = tmp_path / "triangles.graph"
+        path.write_text("vertex A\nvertex B\nvertex C\n"
+                        "vertex D\nvertex E\nvertex F\n"
+                        "edge A B\nedge B C\nedge C A\n"
+                        "edge D E\nedge E F\nedge F D\n")
+        code, out = invoke("graph", "proof", str(path))
+        assert code == 0
+        assert "2 connected components" in out
+        assert out.rstrip().endswith("∎")
+
     def test_missing_file(self):
         code, _ = invoke("graph", "analyze", "/nonexistent.graph")
         assert code == 2

@@ -22,6 +22,11 @@ def path2():
     return graph_from_edges([("A", "B"), ("B", "C")])
 
 
+def two_triangles():
+    return graph_from_edges([("A", "B"), ("B", "C"), ("C", "A"),
+                             ("D", "E"), ("E", "F"), ("F", "D")])
+
+
 class TestParseGraph:
     def test_konigsberg_fixture(self):
         g = konigsberg_graph()
@@ -223,6 +228,27 @@ class TestImpossibilityProof:
             impossibility_proof(cycle4())
         with pytest.raises(ProofContractError):
             impossibility_proof(path2())
+
+    def test_disconnected_graph_gets_a_connectivity_proof(self):
+        g = two_triangles()
+        assert eulerian_status(g) is EulerianStatus.DISCONNECTED
+        assert odd_vertices(g) == ()
+        doc = impossibility_proof(g)
+        assert doc.kinds() == (StepKind.CLAIM, StepKind.MODEL, StepKind.COUNT,
+                               StepKind.OBSERVATION, StepKind.LEMMA,
+                               StepKind.OBSERVATION, StepKind.CONTRADICTION,
+                               StepKind.QED)
+        assert "6 vertices and 6 edges" in doc.steps[2].text
+        assert "share a vertex" in doc.steps[4].text
+        assert "2 connected components" in doc.steps[5].text
+        assert "A, D" in doc.steps[5].text
+
+    def test_disconnected_proof_names_one_vertex_per_component(self):
+        g = graph_from_edges([("B", "C"), ("E", "F"), ("F", "E"), ("H", "H")],
+                             extra_vertices=["A"])  # A is isolated
+        doc = impossibility_proof(g)
+        assert "3 connected components" in doc.steps[5].text
+        assert "B, E, H" in doc.steps[5].text
 
     def test_odd_count_consistency(self):
         rng = random.Random(5)

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from parlorproofs.deck import (AceRule, Card, DeckSpec, Hand, STANDARD_DECK,
                                Wild, binomial, make_deck, parse_hand)
-from parlorproofs.hands import (HandCategory,
+from parlorproofs.hands import (HandCategory, WildClassification,
                                 WildCardsUnsupportedError, WildInHandError,
                                 classify, classify_with_wilds,
                                 classify_with_wilds_detail, combinatorial_proof,
@@ -16,7 +17,8 @@ from parlorproofs.hands import (HandCategory,
                                 straight_runs)
 from parlorproofs.proofdoc import StepKind
 
-from independent import naive_classify
+from independent import (best_over_substitutions, five_of_a_kind_reachable,
+                         naive_classify)
 
 SMALL_SPECS = [
     STANDARD_DECK,
@@ -155,6 +157,60 @@ class TestClassifyWithWilds:
         spec = DeckSpec(wilds=2)
         hand = parse_hand("QS KS AS W1 W2", spec)
         assert classify_with_wilds(hand, spec) is HandCategory.ROYAL_FLUSH
+
+    def test_one_suit_with_a_repeated_value_is_no_flush(self):
+        # The wild can copy a held card, but a flush needs five values.
+        spec = DeckSpec(values=4, suits=2, wilds=1)
+        hand = parse_hand("v1s1 v2s1 v3s1 v4s1 W1", spec)
+        assert classify_with_wilds(hand, spec) is HandCategory.PAIR
+        naturals = [(1, 1), (2, 1), (3, 1), (4, 1)]
+        assert best_over_substitutions(naturals, 1, spec) is HandCategory.PAIR
+
+    @pytest.mark.parametrize("ace_rule", list(AceRule))
+    def test_matches_brute_force_substitution(self, ace_rule):
+        # Every natural subset of every deck with V 1-7, S 1-4 and 1-3
+        # wilds, one per (sorted values, one suit, wild count) key.
+        checked = 0
+        for values in range(1, 8):
+            for suits in range(1, 5):
+                for k in (1, 2, 3):
+                    if values * suits < 5 - k:
+                        continue
+                    spec = DeckSpec(values, suits, k, ace_rule)
+                    pool = [(v, s) for v in range(1, values + 1)
+                            for s in range(1, suits + 1)]
+                    wilds = [Wild(i) for i in range(1, k + 1)]
+                    seen = set()
+                    for naturals in combinations(pool, 5 - k):
+                        key = (tuple(sorted(v for v, _ in naturals)),
+                               len({s for _, s in naturals}) == 1)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        hand = Hand(frozenset(
+                            [Card(v, s) for v, s in naturals] + wilds))
+                        got = classify_with_wilds_detail(hand, spec)
+                        want = best_over_substitutions(naturals, k, spec)
+                        quint = (want is HandCategory.FOUR_OF_A_KIND
+                                 and five_of_a_kind_reachable(naturals))
+                        assert (got.category, got.five_of_a_kind) == \
+                            (want, quint), (spec, naturals)
+                        checked += 1
+        assert checked > 1000
+
+    @pytest.mark.parametrize("wilds,held,category", [
+        (5, "", HandCategory.ROYAL_FLUSH),
+        (4, "QS", HandCategory.ROYAL_FLUSH),
+        (4, "7H", HandCategory.STRAIGHT_FLUSH),
+    ])
+    def test_many_wilds_return_at_once(self, wilds, held, category):
+        spec = DeckSpec(wilds=wilds)
+        tokens = " ".join(f"W{i}" for i in range(1, wilds + 1))
+        hand = parse_hand(f"{held} {tokens}", spec)
+        start = time.perf_counter()
+        detail = classify_with_wilds_detail(hand, spec)
+        assert time.perf_counter() - start < 0.01
+        assert detail == WildClassification(category, False)
 
     @pytest.mark.parametrize("cards", [
         {Card(20, 9), Card(1, 1), Card(2, 1), Card(3, 1), Wild(1)},

@@ -1,12 +1,13 @@
 import json
+import time
 
 import pytest
 
 from parlorproofs.deck import AceRule, DeckSpec, STANDARD_DECK, binomial
 from parlorproofs.fixtures import fixture_text
 from parlorproofs.hands import HandCategory, WildCardsUnsupportedError
-from parlorproofs.oracle import (EnumerationCapError, tally_all,
-                                 verify_closed_forms)
+from parlorproofs.oracle import (EnumerationCapError, _chunk_bounds,
+                                 _tally_chunk, tally_all, verify_closed_forms)
 
 
 class TestTallyAll:
@@ -28,8 +29,34 @@ class TestTallyAll:
             tally_all(DeckSpec(values=6, suits=3), cap=5000)
 
     def test_worker_count_does_not_change_results(self):
-        spec = DeckSpec(values=6, suits=3, wilds=1)
-        assert tally_all(spec, workers=1) == tally_all(spec, workers=3)
+        for spec in (DeckSpec(values=7, suits=3),
+                     DeckSpec(values=6, suits=3, wilds=2)):
+            one = tally_all(spec, workers=1)
+            for workers in (2, 3, 4):
+                assert tally_all(spec, workers=workers) == one, (spec, workers)
+
+    @pytest.mark.parametrize("spec", [DeckSpec(values=8, suits=3),
+                                      DeckSpec(values=6, suits=3, wilds=2)])
+    def test_worker_chunks_hold_near_equal_hand_counts(self, spec):
+        n = spec.values * spec.suits
+        heaviest = sum(_tally_chunk(spec, 0, 1).values())  # lowest index 0
+        for workers in (2, 3, 4):
+            bounds = _chunk_bounds(spec, workers)
+            assert bounds[0] == 0 and bounds[-1] == n
+            sizes = [sum(_tally_chunk(spec, lo, hi).values())
+                     for lo, hi in zip(bounds, bounds[1:])]
+            assert len(sizes) == workers
+            assert sum(sizes) == binomial(spec.size, 5) - binomial(spec.wilds, 5)
+            assert max(sizes) - min(sizes) <= heaviest
+
+    def test_hundred_wilds_tally_at_once(self):
+        spec = DeckSpec(values=5, suits=1, wilds=100)
+        start = time.perf_counter()
+        tallies = tally_all(spec)
+        assert time.perf_counter() - start < 1
+        # One suit of five values: every completion is the royal flush.
+        assert tallies[HandCategory.ROYAL_FLUSH] == binomial(105, 5)
+        assert sum(tallies.values()) == binomial(105, 5)
 
 
 class TestWildGoldenTallies:
@@ -46,7 +73,6 @@ class TestWildGoldenTallies:
         tallies = {c.slug: n for c, n in tally_all(spec).items()}
         assert tallies == self.GOLDEN[key]
 
-    @pytest.mark.slow
     def test_standard_deck_with_one_wild(self):
         spec = DeckSpec(values=13, suits=4, wilds=1)
         tallies = {c.slug: n for c, n in tally_all(spec).items()}
@@ -89,7 +115,6 @@ class TestVerifyClosedForms:
         assert len(lines) == 11
         assert all(line.endswith(",pass") for line in lines[1:])
 
-    @pytest.mark.slow
     def test_standard_deck(self):
         report = verify_closed_forms(STANDARD_DECK)
         assert report.passed

@@ -37,3 +37,13 @@ def test_no_lru_cache(path):
                 else node.name if isinstance(node, ast.alias)
                 else None)
         assert name != "lru_cache", f"{path.name}:{node.lineno} uses lru_cache"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_substitution_product(path):
+    # Wild hands are decided by rule; a product over the deck's cards would
+    # bring back the (V*S)^k substitution search.
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            names = [a.name for a in node.names]
+            assert "product" not in names, f"{path.name}:{node.lineno}"
