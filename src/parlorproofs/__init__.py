@@ -11,8 +11,7 @@ from .graphs import (DegenerateGraphError, Edge, EulerianStatus,
 from .hands import (HandCategory, Probability, WildCardsUnsupportedError,
                     WinnerReport, classify, classify_with_wilds,
                     classify_with_wilds_detail, combinatorial_proof,
-                    count_category, determine_winner, probability,
-                    straight_runs)
+                    count_category, determine_winner, probability)
 from .oracle import (EnumerationCapError, VerificationReport, tally_all,
                      verify_closed_forms)
 from .proofdoc import ProofDocument, ProofStep, StepKind

@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = poker_sub.add_parser("verify")
     add_deck_flags(p, wilds=False)
-    p.add_argument("--threads", type=int, default=1, metavar="N")
+    p.add_argument("--workers", type=int, default=1, metavar="N")
     p.add_argument("--csv", action="store_true")
 
     p = poker_sub.add_parser("proof")
@@ -145,8 +145,10 @@ def _poker_winner(args, out) -> int:
 
 def _poker_verify(args, out) -> int:
     spec = _deck_spec(args, wilds_attr=False)
+    if args.workers < 1:
+        raise _CliError(f"--workers must be >= 1, got {args.workers}")
     try:
-        report = oracle.verify_closed_forms(spec, workers=args.threads)
+        report = oracle.verify_closed_forms(spec, workers=args.workers)
     except oracle.EnumerationCapError as exc:
         raise _CliError(str(exc))
     print(report.render_csv() if args.csv else report.render_text(), file=out)

@@ -64,25 +64,9 @@ ALLOWED_PLAYER_CATEGORIES = tuple(
 )
 
 
-def straight_runs(spec: DeckSpec) -> tuple:
-    """Distinct 5-value consecutive runs, as frozensets.
-
-    With ace_rule=both the wheel {V,1,2,3,4} is included; for V=5 the wheel
-    coincides with the only ordinary run, so runs are deduplicated.
-    """
-    V = spec.values
-    if V < 5:
-        return ()
-    runs = [frozenset(range(low, low + 5)) for low in range(1, V - 3)]
-    if spec.ace_rule is AceRule.BOTH:
-        wheel = frozenset({V, 1, 2, 3, 4})
-        if wheel not in runs:
-            runs.append(wheel)
-    return tuple(runs)
-
-
 def _run_count(spec: DeckSpec) -> int:
-    """len(straight_runs(spec)) in O(1): V-4 runs, plus the wheel."""
+    """Number of 5-value consecutive runs: V-4, plus the wheel {V,1,2,3,4}
+    when aces play low and V > 5 (for V = 5 the wheel is the only run)."""
     V = spec.values
     if V < 5:
         return 0
@@ -157,14 +141,8 @@ class WildClassification:
     five_of_a_kind: bool
 
 
-# Shared results: a new frozen instance per call took over a quarter of
-# best_completion's time in the oracle.
-_COMPLETIONS = {cat: WildClassification(cat, False) for cat in HandCategory}
-_FIVE_OF_A_KIND = WildClassification(HandCategory.FOUR_OF_A_KIND, True)
-
-
 def best_completion(naturals: Sequence, n_wilds: int,
-                    spec: DeckSpec) -> WildClassification:
+                    spec: DeckSpec) -> HandCategory:
     """Best category of the held (value, suit) pairs `naturals` completed by
     n_wilds >= 1 wilds, each standing for any natural card, held ones
     included.
@@ -173,10 +151,10 @@ def best_completion(naturals: Sequence, n_wilds: int,
     `top` the largest held value count, the first line that holds wins:
     royal or straight flush when V >= 5 and the held values are distinct,
     suited and fit a run (royal when all of them are >= V-4); four of a kind
-    when top + k >= 4 (five of a kind when top + k >= 5); full house with at
-    most two held values; flush when V >= 5 and the held values are distinct
-    and suited; straight when V >= 5 and they are distinct and fit a run;
-    three of a kind when top + k >= 3; otherwise a pair.
+    when top + k >= 4; full house with at most two held values; flush when
+    V >= 5 and the held values are distinct and suited; straight when V >= 5
+    and they are distinct and fit a run; three of a kind when top + k >= 3;
+    otherwise a pair.
     """
     values = sorted([v for v, _ in naturals])
     distinct = set(values)
@@ -184,11 +162,10 @@ def best_completion(naturals: Sequence, n_wilds: int,
         # A repeated value rules out every flush and straight.
         same = max(map(values.count, distinct)) + n_wilds
         if same >= 4:
-            return _n_of_a_kind(same)
+            return HandCategory.FOUR_OF_A_KIND
         if len(distinct) <= 2:
-            return _COMPLETIONS[HandCategory.FULL_HOUSE]
-        return _COMPLETIONS[HandCategory.THREE_OF_A_KIND if same >= 3
-                            else HandCategory.PAIR]
+            return HandCategory.FULL_HOUSE
+        return HandCategory.THREE_OF_A_KIND if same >= 3 else HandCategory.PAIR
 
     V = spec.values
     suited = run = False
@@ -201,24 +178,17 @@ def best_completion(naturals: Sequence, n_wilds: int,
                    and values[-1] == V))
     if suited and run:
         royal = not values or values[0] >= V - 4
-        return _COMPLETIONS[HandCategory.ROYAL_FLUSH if royal
-                            else HandCategory.STRAIGHT_FLUSH]
+        return HandCategory.ROYAL_FLUSH if royal else HandCategory.STRAIGHT_FLUSH
     same = bool(values) + n_wilds  # the top count is 1, or 0 with no naturals
     if same >= 4:
-        return _n_of_a_kind(same)
+        return HandCategory.FOUR_OF_A_KIND
     # Three or more distinct values are held here (fewer leave k >= 3 wilds
     # and four of a kind), so no full house is in reach.
     if suited:
-        return _COMPLETIONS[HandCategory.FLUSH]
+        return HandCategory.FLUSH
     if run:
-        return _COMPLETIONS[HandCategory.STRAIGHT]
-    return _COMPLETIONS[HandCategory.THREE_OF_A_KIND if same >= 3
-                        else HandCategory.PAIR]
-
-
-def _n_of_a_kind(same: int) -> WildClassification:
-    return (_FIVE_OF_A_KIND if same >= 5
-            else _COMPLETIONS[HandCategory.FOUR_OF_A_KIND])
+        return HandCategory.STRAIGHT
+    return HandCategory.THREE_OF_A_KIND if same >= 3 else HandCategory.PAIR
 
 
 def classify_with_wilds_detail(hand: Hand, spec: DeckSpec) -> WildClassification:
@@ -226,14 +196,19 @@ def classify_with_wilds_detail(hand: Hand, spec: DeckSpec) -> WildClassification
     as decided by best_completion.
 
     Substitutions may duplicate cards already held: a wild standing in for
-    a card's value and suit is legal.
+    a card's value and suit is legal.  The five-of-a-kind flag is set when
+    four of a kind is best and the wilds can copy the one held value
+    (top + k >= 5); a hand without wilds never sets it.
     """
     _check_cards(hand, spec)
     naturals = _pairs(hand.naturals)
     n_wilds = len(hand.wilds)
     if n_wilds == 0:
-        return _COMPLETIONS[classify_pairs(naturals, spec)]
-    return best_completion(naturals, n_wilds, spec)
+        return WildClassification(classify_pairs(naturals, spec), False)
+    category = best_completion(naturals, n_wilds, spec)
+    five = (category is HandCategory.FOUR_OF_A_KIND
+            and len({v for v, _ in naturals}) <= 1)
+    return WildClassification(category, five)
 
 
 def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:

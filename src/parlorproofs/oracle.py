@@ -6,6 +6,8 @@ together with any of C(W, k) wild k-subsets, so each natural subset is
 classified once and weighted by C(W, k); the C(W, 5) all-wild hands are
 added once.  Natural hands are classified by `hands.classify_pairs`, the
 classifier behind `classify`, and wild hands by `hands.best_completion`.
+In a process pool each lowest natural index is one task, taken by
+whichever worker is free.
 The tallies check the closed forms in `hands`; the classifiers themselves
 are checked by `tests/independent.py` and `bench/reference.py`, which share
 no code with the library.
@@ -13,10 +15,10 @@ no code with the library.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from .deck import DeckSpec, binomial
 from .hands import (HandCategory, WildCardsUnsupportedError, best_completion,
@@ -43,40 +45,19 @@ def _tally_chunk(spec: DeckSpec, first_lo: int, first_hi: int) -> dict:
             tallies[classify_pairs(first + combo, spec)] += 1
         for k in range(1, len(ways)):
             for combo in combinations(rest, 4 - k):
-                best = best_completion(first + combo, k, spec)
-                tallies[best.category] += ways[k]
+                tallies[best_completion(first + combo, k, spec)] += ways[k]
     return tallies
-
-
-def _chunk_bounds(spec: DeckSpec, workers: int) -> list:
-    """Cut the natural indices into at most `workers` contiguous chunks
-    holding near-equal numbers of hands.
-
-    Index i is the lowest natural card of sum_k C(W,k)*C(N-1-i, 4-k) hands,
-    with N = V*S; each cut falls at the index boundary nearest its share.
-    """
-    n, W = spec.values * spec.suits, spec.wilds
-    weights = [sum(binomial(W, k) * binomial(n - 1 - i, 4 - k)
-                   for k in range(min(W, 4) + 1)) for i in range(n)]
-    ends = list(accumulate(weights, initial=0))  # ends[b]: hands below index b
-    bounds = [0]
-    for j in range(1, workers):
-        share = ends[-1] * j / workers
-        b = bisect_left(ends, share)
-        if share - ends[b - 1] < ends[b] - share:
-            b -= 1
-        if bounds[-1] < b < n:
-            bounds.append(b)
-    bounds.append(n)
-    return bounds
 
 
 def tally_all(spec: DeckSpec, cap: int = DEFAULT_ENUMERATION_CAP,
               workers: int = 1) -> dict:
     """Exact per-category tally over all C(deck size, 5) hands.
 
-    Results are bit-identical for any worker count; workers only partition
-    the lowest-natural-card index range.
+    With workers > 1 the pool gets one task per lowest natural index, and
+    whichever process is free takes the next; the tasks differ in cost, so
+    no split is planned ahead.  At most min(workers, V*S, CPU count)
+    processes start; when that is 1 the enumeration runs in this process.
+    Results are bit-identical for any worker count.
     """
     total = binomial(spec.size, 5)
     if total > cap:
@@ -84,18 +65,19 @@ def tally_all(spec: DeckSpec, cap: int = DEFAULT_ENUMERATION_CAP,
             f"enumerating {total} hands exceeds the cap of {cap}"
         )
 
-    bounds = _chunk_bounds(spec, max(workers, 1))
-    if len(bounds) == 2:
-        tallies = _tally_chunk(spec, 0, bounds[1])
+    n = spec.values * spec.suits
+    processes = min(workers, n, os.cpu_count() or 1)
+    if processes <= 1:
+        tallies = _tally_chunk(spec, 0, n)
     else:
         tallies = dict.fromkeys(HandCategory, 0)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_tally_chunk, [spec] * (len(bounds) - 1),
-                                 bounds[:-1], bounds[1:]):
+        with ProcessPoolExecutor(max_workers=processes) as pool:
+            for part in pool.map(_tally_chunk, [spec] * n, range(n),
+                                 range(1, n + 1)):
                 for cat, count in part.items():
                     tallies[cat] += count
     # The hands without a natural card; none unless W >= 5.
-    tallies[best_completion((), 5, spec).category] += binomial(spec.wilds, 5)
+    tallies[best_completion((), 5, spec)] += binomial(spec.wilds, 5)
     return tallies
 
 

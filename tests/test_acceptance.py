@@ -15,9 +15,8 @@ from parlorproofs.fixtures import cat_and_mouse_graph, konigsberg_graph
 from parlorproofs.graphs import (EulerianStatus, Trail, eulerian_status,
                                  find_trail, impossibility_proof, odd_vertices)
 from parlorproofs.hands import (ALLOWED_PLAYER_CATEGORIES, HandCategory,
-                                classify_with_wilds, count_category,
-                                determine_winner)
-from parlorproofs.oracle import tally_all, verify_closed_forms
+                                classify_with_wilds, determine_winner)
+from parlorproofs.oracle import verify_closed_forms
 from parlorproofs.proofdoc import StepKind
 from parlorproofs.rubric import MarkSheet, full_marks, score, zero_marks
 from parlorproofs.fixtures import poker_rubric
@@ -27,8 +26,8 @@ from test_graphs import assert_valid_trail, random_multigraph
 
 
 @pytest.fixture(scope="module")
-def standard_tallies():
-    return tally_all(STANDARD_DECK)
+def standard_report():
+    return verify_closed_forms(STANDARD_DECK)
 
 
 def report(criterion, ok, detail=""):
@@ -39,13 +38,10 @@ def report(criterion, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_1_standard_deck_partition(standard_tallies):
-    mismatches = [
-        cat for cat in HandCategory
-        if standard_tallies[cat] != count_category(cat, STANDARD_DECK)
-    ]
-    total = sum(standard_tallies.values())
-    report(1, not mismatches and total == 2_598_960,
+def test_criterion_1_standard_deck_partition(standard_report):
+    mismatches = [row.category for row in standard_report.rows if not row.ok]
+    total = standard_report.total
+    report(1, standard_report.passed and total == 2_598_960,
            f"total {total}, mismatches {mismatches}")
 
 
@@ -60,7 +56,8 @@ def test_criterion_2_variant_deck_sweep():
     report(2, not failures, f"30 specs swept, failures: {failures}")
 
 
-def test_criterion_3_winner_matches_oracle_order(standard_tallies):
+def test_criterion_3_winner_matches_oracle_order(standard_report):
+    standard_tallies = {row.category: row.oracle for row in standard_report.rows}
     players = ("Bond", "Rogers", "Ryan")
     checked = 0
     for trio in combinations(ALLOWED_PLAYER_CATEGORIES, 3):

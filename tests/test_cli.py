@@ -88,6 +88,20 @@ class TestPokerCommands:
         assert code == 0
         assert out.splitlines()[0] == "category,closed_form,oracle,status"
 
+    def test_verify_workers_flag(self):
+        code, out = invoke("poker", "verify", "--values", "5", "--suits", "2",
+                           "--workers", "2")
+        assert code == 0
+        assert "overall: PASS" in out
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_verify_workers_below_one_is_a_usage_error(self, n, capsys):
+        code, out = invoke("poker", "verify", "--values", "5", "--suits", "2",
+                           "--workers", n)
+        assert code == 2
+        assert out == ""
+        assert "--workers must be >= 1" in capsys.readouterr().err
+
     def test_proof_document(self):
         code, out = invoke("poker", "proof", "full-house")
         assert code == 0

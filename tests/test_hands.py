@@ -11,14 +11,13 @@ from parlorproofs.deck import (AceRule, Card, DeckSpec, Hand, STANDARD_DECK,
                                Wild, binomial, make_deck, parse_hand)
 from parlorproofs.hands import (HandCategory, WildClassification,
                                 WildCardsUnsupportedError, WildInHandError,
-                                classify, classify_with_wilds,
+                                _run_count, classify, classify_with_wilds,
                                 classify_with_wilds_detail, combinatorial_proof,
-                                count_category, determine_winner, probability,
-                                straight_runs)
+                                count_category, determine_winner, probability)
 from parlorproofs.proofdoc import StepKind
 
 from independent import (best_over_substitutions, five_of_a_kind_reachable,
-                         naive_classify)
+                         naive_classify, run_value_sets)
 
 SMALL_SPECS = [
     STANDARD_DECK,
@@ -38,28 +37,26 @@ def hand_of(text, spec=STANDARD_DECK):
 
 
 class TestStraightRuns:
+    """`_run_count` is the run count R behind every closed form."""
+
     def test_standard_has_ten_runs_with_wheel(self):
-        runs = straight_runs(STANDARD_DECK)
-        assert len(runs) == 10
-        assert frozenset({13, 1, 2, 3, 4}) in runs
+        assert _run_count(STANDARD_DECK) == 10
 
     def test_high_only_drops_the_wheel(self):
-        runs = straight_runs(DeckSpec(ace_rule=AceRule.HIGH_ONLY))
-        assert len(runs) == 9
-        assert frozenset({13, 1, 2, 3, 4}) not in runs
+        assert _run_count(DeckSpec(ace_rule=AceRule.HIGH_ONLY)) == 9
 
     @pytest.mark.parametrize("v", range(6, 14))
     def test_run_counts(self, v):
-        assert len(straight_runs(DeckSpec(values=v, suits=4))) == v - 3
-        assert len(straight_runs(
-            DeckSpec(values=v, suits=4, ace_rule=AceRule.HIGH_ONLY))) == v - 4
+        assert _run_count(DeckSpec(values=v, suits=4)) == v - 3
+        assert _run_count(
+            DeckSpec(values=v, suits=4, ace_rule=AceRule.HIGH_ONLY)) == v - 4
 
     def test_five_values_wheel_coincides_with_top_run(self):
-        # {5,1,2,3,4} is {1..5}; runs are deduplicated as value sets
-        assert len(straight_runs(DeckSpec(values=5, suits=4))) == 1
+        # {5,1,2,3,4} is {1..5}, so the wheel adds no second run
+        assert _run_count(DeckSpec(values=5, suits=4)) == 1
 
     def test_no_runs_below_five_values(self):
-        assert straight_runs(DeckSpec(values=4, suits=2)) == ()
+        assert _run_count(DeckSpec(values=4, suits=2)) == 0
 
     @pytest.mark.parametrize("ace_rule", list(AceRule))
     def test_suited_run_counts_match_straight_runs(self, ace_rule):
@@ -70,7 +67,7 @@ class TestStraightRuns:
                 spec = DeckSpec(values=v, suits=s, ace_rule=ace_rule)
                 suited = (count_category(HandCategory.STRAIGHT_FLUSH, spec)
                           + count_category(HandCategory.ROYAL_FLUSH, spec))
-                assert suited == s * len(straight_runs(spec)), spec
+                assert suited == s * len(run_value_sets(spec)), spec
 
 
 class TestClassify:
@@ -120,12 +117,13 @@ class TestClassify:
         # no FLUSH hand is a suited run; no STRAIGHT hand is single-suited
         spec = DeckSpec(values=6, suits=2)
         deck = make_deck(spec)
+        runs = run_value_sets(spec)
         for combo in combinations(deck, 5):
             hand = Hand(frozenset(combo))
             cat = classify(hand, spec)
             values = frozenset(c.value for c in combo)
             suited = len({c.suit for c in combo}) == 1
-            run = values in set(straight_runs(spec))
+            run = values in runs
             if cat is HandCategory.FLUSH:
                 assert suited and not run
             if cat is HandCategory.STRAIGHT:
@@ -197,6 +195,12 @@ class TestClassifyWithWilds:
                             (want, quint), (spec, naturals)
                         checked += 1
         assert checked > 1000
+
+    def test_natural_five_of_a_value_sets_no_flag(self):
+        spec = DeckSpec(values=2, suits=6)
+        hand = Hand(frozenset(Card(1, s) for s in range(1, 6)))
+        assert classify_with_wilds_detail(hand, spec) == \
+            WildClassification(HandCategory.FOUR_OF_A_KIND, False)
 
     @pytest.mark.parametrize("wilds,held,category", [
         (5, "", HandCategory.ROYAL_FLUSH),

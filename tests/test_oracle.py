@@ -1,13 +1,15 @@
 import json
+import os
 import time
 
 import pytest
 
-from parlorproofs.deck import AceRule, DeckSpec, STANDARD_DECK, binomial
+from parlorproofs import oracle
+from parlorproofs.deck import AceRule, DeckSpec, binomial
 from parlorproofs.fixtures import fixture_text
 from parlorproofs.hands import HandCategory, WildCardsUnsupportedError
-from parlorproofs.oracle import (EnumerationCapError, _chunk_bounds,
-                                 _tally_chunk, tally_all, verify_closed_forms)
+from parlorproofs.oracle import (EnumerationCapError, tally_all,
+                                 verify_closed_forms)
 
 
 class TestTallyAll:
@@ -35,19 +37,32 @@ class TestTallyAll:
             for workers in (2, 3, 4):
                 assert tally_all(spec, workers=workers) == one, (spec, workers)
 
-    @pytest.mark.parametrize("spec", [DeckSpec(values=8, suits=3),
-                                      DeckSpec(values=6, suits=3, wilds=2)])
-    def test_worker_chunks_hold_near_equal_hand_counts(self, spec):
-        n = spec.values * spec.suits
-        heaviest = sum(_tally_chunk(spec, 0, 1).values())  # lowest index 0
-        for workers in (2, 3, 4):
-            bounds = _chunk_bounds(spec, workers)
-            assert bounds[0] == 0 and bounds[-1] == n
-            sizes = [sum(_tally_chunk(spec, lo, hi).values())
-                     for lo, hi in zip(bounds, bounds[1:])]
-            assert len(sizes) == workers
-            assert sum(sizes) == binomial(spec.size, 5) - binomial(spec.wilds, 5)
-            assert max(sizes) - min(sizes) <= heaviest
+    def test_pool_is_bounded_by_cpus_and_natural_cards(self, monkeypatch):
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        # A fixed CPU count keeps the expected pool sizes machine-independent.
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for spec, pools in ((DeckSpec(values=6, suits=3, wilds=2), [3]),
+                            (DeckSpec(values=1, suits=2, wilds=3), [2]),
+                            (DeckSpec(values=1, suits=1, wilds=4), [])):
+            requested.clear()
+            one = tally_all(spec, workers=1)
+            assert tally_all(spec, workers=10 ** 6) == one, spec
+            assert requested == pools, spec
 
     def test_hundred_wilds_tally_at_once(self):
         spec = DeckSpec(values=5, suits=1, wilds=100)
@@ -114,8 +129,3 @@ class TestVerifyClosedForms:
         assert lines[0] == "category,closed_form,oracle,status"
         assert len(lines) == 11
         assert all(line.endswith(",pass") for line in lines[1:])
-
-    def test_standard_deck(self):
-        report = verify_closed_forms(STANDARD_DECK)
-        assert report.passed
-        assert report.total == 2_598_960
