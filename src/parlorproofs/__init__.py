@@ -4,6 +4,7 @@ analysis with Claim-Proof impossibility documents, and rubric scoring."""
 from .deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                    InvalidDeckError, STANDARD_DECK, Wild, binomial, make_deck,
                    parse_card, parse_hand, render_card)
+from .errors import InputError
 from .graphs import (DegenerateGraphError, Edge, EulerianStatus,
                      GraphFormatError, Multigraph, ProofContractError, Trail,
                      degree_map, eulerian_status, find_trail, graph_from_edges,

@@ -2,7 +2,7 @@
 
 All logic lives in the library modules; the CLI only parses arguments,
 formats output, and maps results to exit codes: 0 for success, 1 for a
-well-formed negative answer, 2 for usage or input errors.
+well-formed negative answer, 2 for usage errors and for any `InputError`.
 """
 
 from __future__ import annotations
@@ -12,19 +12,14 @@ import sys
 from typing import Optional, Sequence
 
 from . import graphs, hands, oracle, rubric
-from .deck import AceRule, DeckSpec, InvalidDeckError
-from .graphs import EulerianStatus, GraphFormatError, Trail
-from .hands import HandCategory, WildCardsUnsupportedError
+from .deck import AceRule, DeckSpec
+from .errors import InputError
+from .graphs import EulerianStatus, Trail
+from .hands import HandCategory
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,21 +74,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deck_spec(args, wilds_attr: bool = True) -> DeckSpec:
+def _deck_spec(args) -> DeckSpec:
     ace = AceRule.BOTH if args.ace == "both" else AceRule.HIGH_ONLY
-    try:
-        return DeckSpec(values=args.values, suits=args.suits,
-                        wilds=getattr(args, "wilds", 0) if wilds_attr else 0,
-                        ace_rule=ace)
-    except InvalidDeckError as exc:
-        raise _CliError(str(exc))
-
-
-def _category(slug: str) -> HandCategory:
-    try:
-        return HandCategory.from_slug(slug)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+    return DeckSpec(values=args.values, suits=args.suits,
+                    wilds=getattr(args, "wilds", 0), ace_rule=ace)
 
 
 def _poker_count(args, out) -> int:
@@ -102,33 +86,27 @@ def _poker_count(args, out) -> int:
     if args.all_categories:
         categories = list(HandCategory)
     elif args.category:
-        categories = [_category(args.category)]
+        categories = [HandCategory.from_slug(args.category)]
     else:
-        raise _CliError("give a CATEGORY or --all")
-    try:
-        for cat in categories:
-            if want_prob:
-                p = hands.probability(cat, spec)
-                print(f"{cat.slug}: {p.format()}", file=out)
-            else:
-                print(f"{cat.slug}: {hands.count_category(cat, spec)}", file=out)
-    except WildCardsUnsupportedError as exc:
-        raise _CliError(str(exc))
+        raise InputError("give a CATEGORY or --all")
+    for cat in categories:
+        if want_prob:
+            p = hands.probability(cat, spec)
+            print(f"{cat.slug}: {p.format()}", file=out)
+        else:
+            print(f"{cat.slug}: {hands.count_category(cat, spec)}", file=out)
     return EXIT_OK
 
 
 def _poker_winner(args, out) -> int:
-    spec = _deck_spec(args, wilds_attr=False)
+    spec = _deck_spec(args)
     entries = []
     for item in args.entries:
-        if "=" not in item:
-            raise _CliError(f"expected NAME=CATEGORY, got {item!r}")
-        name, slug = item.split("=", 1)
-        entries.append((name, _category(slug)))
-    try:
-        report = hands.determine_winner(entries, spec)
-    except ValueError as exc:
-        raise _CliError(str(exc))
+        name, sep, slug = item.partition("=")
+        if not (name and sep):
+            raise InputError(f"expected NAME=CATEGORY, got {item!r}")
+        entries.append((name, HandCategory.from_slug(slug)))
+    report = hands.determine_winner(entries, spec)
     for name, cat in report.excluded:
         print(f"excluded: {name} ({cat.slug} is impossible in this deck)",
               file=out)
@@ -144,37 +122,30 @@ def _poker_winner(args, out) -> int:
 
 
 def _poker_verify(args, out) -> int:
-    spec = _deck_spec(args, wilds_attr=False)
+    spec = _deck_spec(args)
     if args.workers < 1:
-        raise _CliError(f"--workers must be >= 1, got {args.workers}")
-    try:
-        report = oracle.verify_closed_forms(spec, workers=args.workers)
-    except oracle.EnumerationCapError as exc:
-        raise _CliError(str(exc))
+        raise InputError(f"--workers must be >= 1, got {args.workers}")
+    report = oracle.verify_closed_forms(spec, workers=args.workers)
     print(report.render_csv() if args.csv else report.render_text(), file=out)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
 def _poker_proof(args, out) -> int:
-    spec = _deck_spec(args, wilds_attr=False)
-    doc = hands.combinatorial_proof(_category(args.category), spec)
+    spec = _deck_spec(args)
+    doc = hands.combinatorial_proof(HandCategory.from_slug(args.category), spec)
     print(doc.render_text(), file=out)
     return EXIT_OK
 
 
-def _read_file(path: str) -> str:
+def _parse_file(path: str, parse):
+    """parse(text of the UTF-8 file at path); errors name the path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}")
-
-
-def _load_graph(path: str) -> graphs.Multigraph:
-    try:
-        return graphs.parse_graph(_read_file(path))
-    except GraphFormatError as exc:
-        raise _CliError(f"{path}: {exc}")
+            return parse(handle.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def _graph_status_line(g: graphs.Multigraph) -> str:
@@ -190,20 +161,14 @@ def _graph_status_line(g: graphs.Multigraph) -> str:
 
 
 def _graph_analyze(args, out) -> int:
-    g = _load_graph(args.file)
-    try:
-        print(_graph_status_line(g), file=out)
-    except graphs.DegenerateGraphError as exc:
-        raise _CliError(str(exc))
+    g = _parse_file(args.file, graphs.parse_graph)
+    print(_graph_status_line(g), file=out)
     return EXIT_OK
 
 
 def _graph_trail(args, out) -> int:
-    g = _load_graph(args.file)
-    try:
-        result = graphs.find_trail(g)
-    except graphs.DegenerateGraphError as exc:
-        raise _CliError(str(exc))
+    g = _parse_file(args.file, graphs.parse_graph)
+    result = graphs.find_trail(g)
     if isinstance(result, Trail):
         print(result.render_text(), file=out)
         return EXIT_OK
@@ -212,11 +177,9 @@ def _graph_trail(args, out) -> int:
 
 
 def _graph_proof(args, out) -> int:
-    g = _load_graph(args.file)
+    g = _parse_file(args.file, graphs.parse_graph)
     try:
         doc = graphs.impossibility_proof(g)
-    except graphs.DegenerateGraphError as exc:
-        raise _CliError(str(exc))
     except graphs.ProofContractError as exc:
         print(str(exc), file=out)
         return EXIT_NEGATIVE
@@ -225,13 +188,9 @@ def _graph_proof(args, out) -> int:
 
 
 def _rubric_score(args, out) -> int:
-    try:
-        loaded = rubric.load_rubric(_read_file(args.rubric_file))
-        marks = rubric.parse_marks(_read_file(args.marks_file))
-        report = rubric.score(loaded, marks)
-    except (rubric.RubricFormatError, rubric.MarkSheetError) as exc:
-        raise _CliError(str(exc))
-    print(report.render_text(), file=out)
+    loaded = _parse_file(args.rubric_file, rubric.load_rubric)
+    marks = _parse_file(args.marks_file, rubric.parse_marks)
+    print(rubric.score(loaded, marks).render_text(), file=out)
     return EXIT_OK
 
 
@@ -257,9 +216,9 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _HANDLERS[(args.group, args.command)](args, out)
-    except _CliError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
 
 
 def main() -> None:

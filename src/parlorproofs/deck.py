@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
+from .errors import InputError
 
-class InvalidDeckError(ValueError):
+
+class InvalidDeckError(InputError):
     """Deck parameters violate a structural bound (named in the message)."""
 
 
-class CardParseError(ValueError):
+class CardParseError(InputError):
     """A card token could not be parsed for the given deck."""
 
 
@@ -99,7 +101,7 @@ class Hand:
         cards = frozenset(self.cards)
         object.__setattr__(self, "cards", cards)
         if len(cards) != 5:
-            raise ValueError(f"a hand holds exactly 5 distinct cards, got {len(cards)}")
+            raise InputError(f"a hand holds exactly 5 distinct cards, got {len(cards)}")
 
     @property
     def naturals(self) -> tuple:

@@ -10,16 +10,17 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Union
 
+from .errors import InputError
 from .proofdoc import ProofDocument, ProofStep, StepKind
 
 OUTSIDE = "outside"
 
 
-class GraphFormatError(ValueError):
+class GraphFormatError(InputError):
     """Graph text is malformed; the message carries the line number."""
 
 
-class DegenerateGraphError(ValueError):
+class DegenerateGraphError(InputError):
     """Eulerian analysis needs at least one edge."""
 
 
@@ -53,7 +54,7 @@ class Multigraph:
         for edge in self.edges:
             for endpoint in (edge.u, edge.v):
                 if endpoint not in self.vertices:
-                    raise ValueError(f"edge {edge.id} references unknown "
+                    raise InputError(f"edge {edge.id} references unknown "
                                      f"vertex {endpoint!r}")
 
     @property

@@ -13,14 +13,15 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .deck import AceRule, DeckSpec, Hand, binomial
+from .errors import InputError
 from .proofdoc import ProofDocument, ProofStep, StepKind
 
 
-class WildCardsUnsupportedError(ValueError):
+class WildCardsUnsupportedError(InputError):
     """Closed-form counts do not cover wild decks; use oracle.tally_all."""
 
 
-class WildInHandError(ValueError):
+class WildInHandError(InputError):
     """classify() got a wild card; classify_with_wilds handles those."""
 
 
@@ -52,7 +53,7 @@ class HandCategory(IntEnum):
         try:
             return cls[key]
         except KeyError:
-            raise ValueError(f"unknown hand category {slug!r}") from None
+            raise InputError(f"unknown hand category {slug!r}") from None
 
 
 # The paper's game allows players to pick only the hands that are not ruled
@@ -113,7 +114,7 @@ def _check_cards(hand: Hand, spec: DeckSpec) -> None:
         else:
             legal = 1 <= card.value <= spec.values and 1 <= card.suit <= spec.suits
         if not legal:
-            raise ValueError(f"card {card} not legal for deck {spec}")
+            raise InputError(f"card {card} not legal for deck {spec}")
 
 
 def _pairs(cards: Iterable) -> list:
@@ -285,11 +286,11 @@ def determine_winner(entries: Iterable, spec: DeckSpec) -> WinnerReport:
     """Apply the rule that the hand with the lowest probability wins."""
     entries = list(entries)
     if not entries:
-        raise ValueError("no players given")
+        raise InputError("no players given")
     seen: set = set()
     for name, _ in entries:
         if name in seen:
-            raise ValueError(f"duplicate player {name!r}")
+            raise InputError(f"duplicate player {name!r}")
         seen.add(name)
 
     scored = [(name, cat, probability(cat, spec)) for name, cat in entries]
@@ -422,7 +423,7 @@ def _count_terms(category: HandCategory, spec: DeckSpec) -> list:
     try:
         terms = _TERMS[category]
     except KeyError:
-        raise ValueError(f"unknown category {category!r}") from None
+        raise InputError(f"unknown category {category!r}") from None
     return terms(spec.values, spec.suits, _run_count(spec))
 
 

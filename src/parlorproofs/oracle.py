@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .deck import DeckSpec, binomial
+from .errors import InputError
 from .hands import (HandCategory, WildCardsUnsupportedError, best_completion,
                     classify_pairs, count_category)
 
 DEFAULT_ENUMERATION_CAP = 10 ** 8
 
 
-class EnumerationCapError(ValueError):
+class EnumerationCapError(InputError):
     """The deck's hand count exceeds the configured enumeration cap."""
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import InputError
+
 LEVEL_LABELS = {
     1: "Does not meet (1)",
     2: "Attempted (2)",
@@ -21,11 +23,11 @@ LEVEL_LABELS = {
 }
 
 
-class RubricFormatError(ValueError):
+class RubricFormatError(InputError):
     """Rubric text is malformed or violates a declared total."""
 
 
-class MarkSheetError(ValueError):
+class MarkSheetError(InputError):
     """Marks are malformed, incomplete, duplicated, or out of range."""
 
 
@@ -43,7 +45,9 @@ def _parse_half_points(token: str, context: str) -> int:
 
 
 def _render_half_points(hp: int) -> str:
-    return str(hp // 2) if hp % 2 == 0 else f"{hp / 2:.1f}"
+    # Integer arithmetic only: a float would round large awards.
+    whole, half = divmod(abs(hp), 2)
+    return f"{'-' if hp < 0 else ''}{whole}{'.5' if half else ''}"
 
 
 @dataclass(frozen=True)
@@ -290,12 +294,12 @@ class ScoreReport:
     maximum_hp: int
 
     @property
-    def total(self) -> float:
-        return self.total_hp / 2
+    def total(self) -> Fraction:
+        return Fraction(self.total_hp, 2)
 
     @property
-    def maximum(self) -> float:
-        return self.maximum_hp / 2
+    def maximum(self) -> Fraction:
+        return Fraction(self.maximum_hp, 2)
 
     def render_text(self) -> str:
         lines = []

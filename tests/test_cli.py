@@ -71,6 +71,13 @@ class TestPokerCommands:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("entry", ["=pair", "pair"])
+    def test_winner_entry_without_name_is_a_usage_error(self, entry, capsys):
+        code, out = invoke("poker", "winner", entry, "B=flush")
+        assert code == 2
+        assert out == ""
+        assert "expected NAME=CATEGORY" in capsys.readouterr().err
+
     def test_winner_impossible_entry(self):
         code, out = invoke("poker", "winner", "--suits", "2", "A=full-house")
         assert code == 1
@@ -167,6 +174,20 @@ class TestGraphCommands:
         path.write_text("nonsense\n")
         code, _ = invoke("graph", "analyze", str(path))
         assert code == 2
+
+
+@pytest.mark.parametrize("command", ["graph analyze", "graph trail",
+                                     "graph proof", "rubric score"])
+def test_non_utf8_file_is_a_usage_error(command, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe vertex A\n")
+    files = [str(path)] * (2 if command == "rubric score" else 1)
+    code, out = invoke(*command.split(), *files)
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "Traceback" not in err
 
 
 class TestRubricCommand:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from parlorproofs.fixtures import fixture_text, poker_rubric, writing_rubric
@@ -131,6 +133,24 @@ class TestScorePointRubric:
         marks["Restate the problem"] = 12  # 6 of 5 points
         with pytest.raises(MarkSheetError, match="outside"):
             score(rubric, MarkSheet(tuple(marks.items()), ()))
+
+    def test_negative_award_is_rendered_with_its_sign(self):
+        rubric = poker_rubric()
+        marks = dict(full_marks(rubric).awards_hp)
+        marks["Restate the problem"] = -1
+        with pytest.raises(MarkSheetError, match=r"award -0\.5 for"):
+            score(rubric, MarkSheet(tuple(marks.items()), ()))
+
+    def test_large_half_point_totals_are_exact(self):
+        # 2 * 10**20 - 1 half-points has no float; the nearest is 10**20.
+        big = 10 ** 20
+        rubric = load_rubric(f"rubric point Big max={big}\nsection S\n"
+                             f'criterion "c" points={big}\n')
+        report = score(rubric, parse_marks(f'award "c" {big - 1}.5\n'))
+        assert report.total == Fraction(2 * big - 1, 2)
+        assert report.maximum == big
+        assert report.render_text().splitlines() == [
+            f"S: {big - 1}.5/{big}", f"total: {big - 1}.5/{big}"]
 
 
 class TestScoreTraitRubric:

@@ -1,9 +1,16 @@
-"""Guards on the shape of the library source, checked with `ast`."""
+"""Guards on the shape of the library: its source, checked with `ast`, and
+its error classes."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from parlorproofs import (CardParseError, DegenerateGraphError,
+                          EnumerationCapError, GraphFormatError, InputError,
+                          InvalidDeckError, MarkSheetError, ProofContractError,
+                          RubricFormatError, WildCardsUnsupportedError)
+from parlorproofs.hands import WildInHandError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parlorproofs"
 MODULES = sorted(SRC.glob("*.py"))
@@ -47,3 +54,29 @@ def test_no_substitution_product(path):
         if isinstance(node, ast.ImportFrom) and node.module == "itertools":
             names = [a.name for a in node.names]
             assert "product" not in names, f"{path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_bare_value_error_or_exception_raised(path):
+    # Rejected input raises an InputError subclass, which the CLI maps to
+    # exit 2; a bare ValueError would escape it as a traceback.
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else None
+            assert name not in ("ValueError", "Exception"), \
+                f"{path.name}:{node.lineno} raises {name}"
+
+
+@pytest.mark.parametrize("cls", [
+    InvalidDeckError, CardParseError, WildCardsUnsupportedError,
+    WildInHandError, EnumerationCapError, GraphFormatError,
+    DegenerateGraphError, RubricFormatError, MarkSheetError,
+], ids=lambda cls: cls.__name__)
+def test_rejections_are_input_errors(cls):
+    assert issubclass(cls, InputError)
+
+
+def test_proof_contract_is_a_negative_answer_not_an_input_error():
+    assert issubclass(ProofContractError, ValueError)
+    assert not issubclass(ProofContractError, InputError)
