@@ -2,22 +2,21 @@
 analysis with Claim-Proof impossibility documents, and rubric scoring."""
 
 from .deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
-                   InvalidDeckError, STANDARD_DECK, Wild, binomial, make_deck,
-                   parse_card, parse_hand, render_card)
+                   InvalidDeckError, STANDARD_DECK, Wild, binomial,
+                   parse_card, parse_hand)
 from .errors import InputError
 from .graphs import (DegenerateGraphError, Edge, EulerianStatus,
                      GraphFormatError, Multigraph, ProofContractError, Trail,
-                     degree_map, eulerian_status, find_trail, graph_from_edges,
+                     degree_map, eulerian_status, find_trail,
                      impossibility_proof, odd_vertices, parse_graph)
 from .hands import (HandCategory, Probability, WildCardsUnsupportedError,
                     WinnerReport, classify, classify_with_wilds,
-                    classify_with_wilds_detail, combinatorial_proof,
-                    count_category, determine_winner, probability)
+                    combinatorial_proof, count_category, determine_winner,
+                    probability)
 from .oracle import (EnumerationCapError, VerificationReport, tally_all,
                      verify_closed_forms)
 from .proofdoc import ProofDocument, ProofStep, StepKind
 from .rubric import (MarkSheet, MarkSheetError, PointRubric, RubricFormatError,
-                     ScoreReport, TraitRubric, load_rubric, parse_marks,
-                     render_rubric, score)
+                     ScoreReport, TraitRubric, load_rubric, parse_marks, score)
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-from .errors import InputError
+from .errors import InputError, parse_digits
 
 
 class InvalidDeckError(InputError):
@@ -111,20 +111,6 @@ class Hand:
     def wilds(self) -> tuple:
         return tuple(sorted(c for c in self.cards if c.is_wild))
 
-    def __iter__(self):
-        return iter(self.cards)
-
-
-def make_deck(spec: DeckSpec) -> list:
-    """All V*S natural cards in value-major order, then the W wilds."""
-    cards: list = [
-        Card(value, suit)
-        for value in range(1, spec.values + 1)
-        for suit in range(1, spec.suits + 1)
-    ]
-    cards.extend(Wild(i) for i in range(1, spec.wilds + 1))
-    return cards
-
 
 # Standard 52-card token grammar.  Value tokens map onto the 1..13 order with
 # the ace highest: 2 -> 1, 3 -> 2, ..., 10/T -> 9, J -> 10, Q -> 11, K -> 12,
@@ -134,10 +120,6 @@ _STANDARD_VALUES = {
     "10": 9, "T": 9, "J": 10, "Q": 11, "K": 12, "A": 13,
 }
 _STANDARD_SUITS = {"C": 1, "D": 2, "H": 3, "S": 4}
-_STANDARD_VALUE_NAMES = {1: "2", 2: "3", 3: "4", 4: "5", 5: "6", 6: "7",
-                         7: "8", 8: "9", 9: "10", 10: "J", 11: "Q", 12: "K",
-                         13: "A"}
-_STANDARD_SUIT_NAMES = {1: "C", 2: "D", 3: "H", 4: "S"}
 
 _STANDARD_RE = re.compile(r"^(10|[2-9TJQKA])([CDHS])$", re.IGNORECASE)
 _GENERIC_RE = re.compile(r"^V([0-9]+)S([0-9]+)$", re.IGNORECASE)
@@ -152,7 +134,7 @@ def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> AnyCard:
 
     m = _WILD_RE.match(token)
     if m:
-        index = int(m.group(1))
+        index = parse_digits(m.group(1), CardParseError, "wild index")
         if not 1 <= index <= spec.wilds:
             raise CardParseError(
                 f"wild index {index} out of range for a deck with {spec.wilds} wilds"
@@ -161,7 +143,8 @@ def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> AnyCard:
 
     m = _GENERIC_RE.match(token)
     if m:
-        value, suit = int(m.group(1)), int(m.group(2))
+        value = parse_digits(m.group(1), CardParseError, "card value")
+        suit = parse_digits(m.group(2), CardParseError, "card suit")
         _check_range(token, value, suit, spec)
         return Card(value, suit)
 
@@ -184,15 +167,6 @@ def _check_range(token: str, value: int, suit: int, spec: DeckSpec) -> None:
         raise CardParseError(
             f"card {token!r}: suit {suit} out of range 1..{spec.suits}"
         )
-
-
-def render_card(card: AnyCard, spec: DeckSpec = STANDARD_DECK) -> str:
-    """Inverse of parse_card; standard tokens for the 13x4 deck, else generic."""
-    if card.is_wild:
-        return f"W{card.index}"
-    if spec.values == 13 and spec.suits == 4:
-        return _STANDARD_VALUE_NAMES[card.value] + _STANDARD_SUIT_NAMES[card.suit]
-    return f"v{card.value}s{card.suit}"
 
 
 def parse_hand(text: str, spec: DeckSpec = STANDARD_DECK) -> Hand:

@@ -1,6 +1,22 @@
-"""The one declared error for rejected input."""
+"""The one declared error for rejected input, and the bound on the numbers
+that input may spell out."""
+
+# CPython converts no int of more than 4,300 decimal digits to or from str,
+# and the conversion time grows with the square of the length.  Numbers in
+# card tokens and rubric lines stay far below that, so that sums and
+# products of them still print.
+MAX_DIGITS = 1000
 
 
 class InputError(ValueError):
     """Input was rejected: a deck, card, category, graph, rubric or mark
     sheet that the library cannot answer for (the CLI exits 2)."""
+
+
+def parse_digits(digits: str, error: type, context: str) -> int:
+    """int(digits) for a run of decimal digits; raises `error`, an
+    InputError subclass, when there are more than MAX_DIGITS of them."""
+    if len(digits) > MAX_DIGITS:
+        raise error(f"{context}: a number of {len(digits)} digits exceeds "
+                    f"the limit of {MAX_DIGITS}")
+    return int(digits)

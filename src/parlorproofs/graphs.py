@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .errors import InputError
 from .proofdoc import ProofDocument, ProofStep, StepKind
@@ -60,18 +60,6 @@ class Multigraph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-def graph_from_edges(pairs: Iterable, extra_vertices: Iterable = ()) -> Multigraph:
-    """Build a Multigraph from (u, v) or (u, v, label) tuples."""
-    edges = []
-    vertices = set(extra_vertices)
-    for i, pair in enumerate(pairs, start=1):
-        u, v = pair[0], pair[1]
-        label = pair[2] if len(pair) > 2 else None
-        vertices.update((u, v))
-        edges.append(Edge(i, u, v, label))
-    return Multigraph(frozenset(vertices), tuple(edges))
 
 
 def parse_graph(text: str) -> Multigraph:
@@ -190,9 +178,6 @@ class Trail:
     steps: tuple
     start: str
     end: str
-
-    def edge_ids(self) -> tuple:
-        return tuple(step.edge_id for step in self.steps)
 
     def vertex_sequence(self) -> tuple:
         return (self.start,) + tuple(step.to for step in self.steps)

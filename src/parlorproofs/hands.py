@@ -56,15 +56,6 @@ class HandCategory(IntEnum):
             raise InputError(f"unknown hand category {slug!r}") from None
 
 
-# The paper's game allows players to pick only the hands that are not ruled
-# out for the assignment; the three strongest are off the table.
-ALLOWED_PLAYER_CATEGORIES = tuple(
-    c for c in HandCategory
-    if c not in (HandCategory.ROYAL_FLUSH, HandCategory.STRAIGHT_FLUSH,
-                 HandCategory.FOUR_OF_A_KIND)
-)
-
-
 def _run_count(spec: DeckSpec) -> int:
     """Number of 5-value consecutive runs: V-4, plus the wheel {V,1,2,3,4}
     when aces play low and V > 5 (for V = 5 the wheel is the only run)."""
@@ -129,19 +120,6 @@ def classify(hand: Hand, spec: DeckSpec) -> HandCategory:
     return classify_pairs(_pairs(hand.cards), spec)
 
 
-@dataclass(frozen=True)
-class WildClassification:
-    """Best achievable category plus an advisory five-of-a-kind flag.
-
-    Five of a kind is outside the ten-category taxonomy; when the best
-    substitution yields 5 copies of one value it is reported as
-    FOUR_OF_A_KIND with the flag set.
-    """
-
-    category: HandCategory
-    five_of_a_kind: bool
-
-
 def best_completion(naturals: Sequence, n_wilds: int,
                     spec: DeckSpec) -> HandCategory:
     """Best category of the held (value, suit) pairs `naturals` completed by
@@ -192,28 +170,20 @@ def best_completion(naturals: Sequence, n_wilds: int,
     return HandCategory.THREE_OF_A_KIND if same >= 3 else HandCategory.PAIR
 
 
-def classify_with_wilds_detail(hand: Hand, spec: DeckSpec) -> WildClassification:
+def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:
     """Best category over all substitutions of each wild by any natural card,
     as decided by best_completion.
 
     Substitutions may duplicate cards already held: a wild standing in for
-    a card's value and suit is legal.  The five-of-a-kind flag is set when
-    four of a kind is best and the wilds can copy the one held value
-    (top + k >= 5); a hand without wilds never sets it.
+    a card's value and suit is legal.  Five cards of one value count as
+    FOUR_OF_A_KIND, the strongest category of the ten that they satisfy.
     """
     _check_cards(hand, spec)
     naturals = _pairs(hand.naturals)
     n_wilds = len(hand.wilds)
     if n_wilds == 0:
-        return WildClassification(classify_pairs(naturals, spec), False)
-    category = best_completion(naturals, n_wilds, spec)
-    five = (category is HandCategory.FOUR_OF_A_KIND
-            and len({v for v, _ in naturals}) <= 1)
-    return WildClassification(category, five)
-
-
-def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:
-    return classify_with_wilds_detail(hand, spec).category
+        return classify_pairs(naturals, spec)
+    return best_completion(naturals, n_wilds, spec)
 
 
 def _require_wild_free(spec: DeckSpec) -> None:
@@ -244,11 +214,11 @@ class Probability:
     def fraction(self) -> Fraction:
         return Fraction(self.count, self.total)
 
-    def decimal(self, digits: int = 6) -> str:
-        """Decimal rendering to `digits` significant digits (approximate)."""
+    def decimal(self) -> str:
+        """Decimal rendering to 6 significant digits (approximate)."""
         if self.count == 0:
             return "0"
-        return f"{float(self.fraction):.{digits}g}"
+        return f"{float(self.fraction):.6g}"
 
     def format(self) -> str:
         frac = self.fraction
@@ -259,7 +229,6 @@ class Probability:
 
 def probability(category: HandCategory, spec: DeckSpec) -> Probability:
     """count_category over the C(V*S, 5) sample space, exact."""
-    _require_wild_free(spec)
     return Probability(count_category(category, spec), binomial(spec.size, 5))
 
 

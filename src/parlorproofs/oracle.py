@@ -22,14 +22,13 @@ from itertools import combinations
 
 from .deck import DeckSpec, binomial
 from .errors import InputError
-from .hands import (HandCategory, WildCardsUnsupportedError, best_completion,
-                    classify_pairs, count_category)
+from .hands import HandCategory, best_completion, classify_pairs, count_category
 
-DEFAULT_ENUMERATION_CAP = 10 ** 8
+ENUMERATION_CAP = 10 ** 8
 
 
 class EnumerationCapError(InputError):
-    """The deck's hand count exceeds the configured enumeration cap."""
+    """The deck's hand count exceeds ENUMERATION_CAP."""
 
 
 def _tally_chunk(spec: DeckSpec, first_lo: int, first_hi: int) -> dict:
@@ -50,8 +49,7 @@ def _tally_chunk(spec: DeckSpec, first_lo: int, first_hi: int) -> dict:
     return tallies
 
 
-def tally_all(spec: DeckSpec, cap: int = DEFAULT_ENUMERATION_CAP,
-              workers: int = 1) -> dict:
+def tally_all(spec: DeckSpec, workers: int = 1) -> dict:
     """Exact per-category tally over all C(deck size, 5) hands.
 
     With workers > 1 the pool gets one task per lowest natural index, and
@@ -61,9 +59,9 @@ def tally_all(spec: DeckSpec, cap: int = DEFAULT_ENUMERATION_CAP,
     Results are bit-identical for any worker count.
     """
     total = binomial(spec.size, 5)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"enumerating {total} hands exceeds the cap of {cap}"
+            f"enumerating {total} hands exceeds the cap of {ENUMERATION_CAP}"
         )
 
     n = spec.values * spec.suits
@@ -125,16 +123,16 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def verify_closed_forms(spec: DeckSpec, cap: int = DEFAULT_ENUMERATION_CAP,
-                        workers: int = 1) -> VerificationReport:
-    """Compare closed-form counts against the enumeration, per category."""
-    if spec.wilds > 0:
-        raise WildCardsUnsupportedError(
-            "closed forms cover wild-free decks only; nothing to verify"
-        )
-    tallies = tally_all(spec, cap=cap, workers=workers)
+def verify_closed_forms(spec: DeckSpec, workers: int = 1) -> VerificationReport:
+    """Compare closed-form counts against the enumeration, per category.
+
+    The closed forms come first, so a wild deck, which has none, is refused
+    before any enumeration.
+    """
+    closed = [count_category(cat, spec) for cat in HandCategory]
+    tallies = tally_all(spec, workers=workers)
     rows = tuple(
-        VerificationRow(cat, count_category(cat, spec), tallies[cat])
-        for cat in HandCategory
+        VerificationRow(cat, count, tallies[cat])
+        for cat, count in zip(HandCategory, closed)
     )
     return VerificationReport(spec, rows, sum(tallies.values()))

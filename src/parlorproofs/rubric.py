@@ -12,15 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError
-
-LEVEL_LABELS = {
-    1: "Does not meet (1)",
-    2: "Attempted (2)",
-    3: "Approaches (3)",
-    4: "Meets (4)",
-    5: "Exceeds (5)",
-}
+from .errors import InputError, parse_digits
 
 
 class RubricFormatError(InputError):
@@ -90,9 +82,6 @@ class PointRubric:
                 f"{self.maximum}"
             )
 
-    def criteria(self) -> tuple:
-        return tuple(c for s in self.sections for c in s.criteria)
-
 
 @dataclass(frozen=True)
 class Trait:
@@ -145,7 +134,9 @@ def load_rubric(text: str) -> Rubric:
     first_no, first = lines[0]
     m = _POINT_HEADER_RE.match(first)
     if m:
-        return _load_point(m.group(1), int(m.group(2)), lines[1:])
+        maximum = parse_digits(m.group(2), RubricFormatError,
+                               f"line {first_no}")
+        return _load_point(m.group(1), maximum, lines[1:])
     m = _TRAIT_HEADER_RE.match(first)
     if m:
         return _load_trait(m.group(1), lines[1:])
@@ -172,8 +163,10 @@ def _load_point(name: str, maximum: int, lines: list) -> PointRubric:
                 raise RubricFormatError(
                     f"line {lineno}: criterion before any section"
                 )
-            current.append(Criterion(m.group(1), int(m.group(2)),
-                                     int(m.group(3) or 1)))
+            context = f"line {lineno}"
+            current.append(Criterion(
+                m.group(1), parse_digits(m.group(2), RubricFormatError, context),
+                parse_digits(m.group(3) or "1", RubricFormatError, context)))
             continue
         raise RubricFormatError(f"line {lineno}: unrecognized line {line!r}")
     if current_name is not None:
@@ -215,25 +208,6 @@ def _load_trait(name: str, lines: list) -> TraitRubric:
     return TraitRubric(name, tuple(traits))
 
 
-def render_rubric(rubric: Rubric) -> str:
-    """Inverse of load_rubric (round-trips exactly)."""
-    lines = []
-    if isinstance(rubric, PointRubric):
-        lines.append(f"rubric point {rubric.name} max={rubric.maximum}")
-        for section in rubric.sections:
-            lines.append(f"section {section.name}")
-            for c in section.criteria:
-                suffix = f" x{c.multiplier}" if c.multiplier != 1 else ""
-                lines.append(f'criterion "{c.description}" points={c.points}{suffix}')
-    else:
-        lines.append(f"rubric trait {rubric.name}")
-        for trait in rubric.traits:
-            lines.append(f'trait "{trait.name}"')
-            for k, desc in enumerate(trait.levels, start=1):
-                lines.append(f'level {k} "{desc}"')
-    return "\n".join(lines) + "\n"
-
-
 _AWARD_RE = re.compile(r'^award\s+"([^"]+)"\s+([0-9.]+)$')
 _MARK_LEVEL_RE = re.compile(r'^level\s+"([^"]+)"\s+([1-5])$')
 
@@ -265,19 +239,6 @@ def parse_marks(text: str) -> MarkSheet:
             continue
         raise MarkSheetError(f"line {lineno}: unrecognized line {line!r}")
     return MarkSheet(tuple(awards), tuple(levels))
-
-
-def full_marks(rubric: Rubric) -> MarkSheet:
-    if isinstance(rubric, PointRubric):
-        return MarkSheet(tuple((c.description, 2 * c.points)
-                               for c in rubric.criteria()), ())
-    return MarkSheet((), tuple((t.name, 5) for t in rubric.traits))
-
-
-def zero_marks(rubric: Rubric) -> MarkSheet:
-    if isinstance(rubric, PointRubric):
-        return MarkSheet(tuple((c.description, 0) for c in rubric.criteria()), ())
-    return MarkSheet((), tuple((t.name, 1) for t in rubric.traits))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,12 @@ from parlorproofs.deck import AceRule, DeckSpec
 from parlorproofs.hands import HandCategory
 
 
+def natural_pairs(spec: DeckSpec) -> list:
+    """Every natural card of the deck as a (value, suit) pair, value-major."""
+    return [(v, s) for v in range(1, spec.values + 1)
+            for s in range(1, spec.suits + 1)]
+
+
 def run_value_sets(spec: DeckSpec) -> set:
     """All sets of 5 consecutive values, ace-low run included per the rule."""
     V = spec.values
@@ -76,8 +82,7 @@ def best_over_substitutions(naturals, n_wilds, spec: DeckSpec) -> HandCategory:
     Wilds are interchangeable, so each multiset of substitute cards is tried
     once rather than in every order.
     """
-    deck = [(v, s) for v in range(1, spec.values + 1)
-            for s in range(1, spec.suits + 1)]
+    deck = natural_pairs(spec)
     classify = naive_classifier(spec)
     held = tuple(naturals)
     best = HandCategory.HIGH_CARD
@@ -88,12 +93,6 @@ def best_over_substitutions(naturals, n_wilds, spec: DeckSpec) -> HandCategory:
             if best is HandCategory.ROYAL_FLUSH:
                 break
     return best
-
-
-def five_of_a_kind_reachable(naturals) -> bool:
-    """Whether some substitution makes five cards of one value: each wild
-    can copy a held value, so exactly when the held values are all equal."""
-    return len({v for v, _ in naturals}) <= 1
 
 
 def trail_exists_backtracking(edge_pairs) -> bool:

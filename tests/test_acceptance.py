@@ -9,20 +9,30 @@ from itertools import combinations, permutations
 
 import pytest
 
-from parlorproofs.deck import (AceRule, DeckSpec, Hand, STANDARD_DECK, Wild,
-                               make_deck)
+from parlorproofs.deck import (AceRule, Card, DeckSpec, Hand, STANDARD_DECK,
+                               Wild)
 from parlorproofs.fixtures import cat_and_mouse_graph, konigsberg_graph
 from parlorproofs.graphs import (EulerianStatus, Trail, eulerian_status,
                                  find_trail, impossibility_proof, odd_vertices)
-from parlorproofs.hands import (ALLOWED_PLAYER_CATEGORIES, HandCategory,
-                                classify_with_wilds, determine_winner)
+from parlorproofs.hands import (HandCategory, classify_with_wilds,
+                                determine_winner)
 from parlorproofs.oracle import verify_closed_forms
 from parlorproofs.proofdoc import StepKind
-from parlorproofs.rubric import MarkSheet, full_marks, score, zero_marks
+from parlorproofs.rubric import MarkSheet, score
 from parlorproofs.fixtures import poker_rubric
 
-from independent import best_over_substitutions, trail_exists_backtracking
+from independent import (best_over_substitutions, natural_pairs,
+                         trail_exists_backtracking)
 from test_graphs import assert_valid_trail, random_multigraph
+from test_rubric import full_marks, zero_marks
+
+# The paper's game lets players pick only the hands that are not ruled out
+# for the assignment; the three strongest are off the table.
+ALLOWED_PLAYER_CATEGORIES = tuple(
+    c for c in HandCategory
+    if c not in (HandCategory.ROYAL_FLUSH, HandCategory.STRAIGHT_FLUSH,
+                 HandCategory.FOUR_OF_A_KIND)
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +159,7 @@ def test_criterion_7_poker_rubric():
 
 def test_criterion_8_wild_card_best_substitution():
     spec = DeckSpec(values=13, suits=4, wilds=1)
-    naturals_pool = [c for c in make_deck(spec) if not c.is_wild]
+    naturals_pool = [Card(v, s) for v, s in natural_pairs(spec)]
     rng = random.Random(52)
     mismatches = 0
     for _ in range(500):

@@ -123,6 +123,28 @@ class TestPokerCommands:
                          "pair")
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["count", "--all"], ["prob", "pair"], ["proof", "pair"],
+        ["winner", "A=pair"], ["verify"],
+    ], ids=lambda command: command[0])
+    def test_deck_too_large_to_print_is_a_usage_error(self, command, capsys):
+        code, out = invoke("poker", command[0], "--values", "9" * 1000,
+                           *command[1:])
+        assert code == 2
+        assert out == ""
+        assert "too large to print" in capsys.readouterr().err
+
+    def test_largest_printable_deck_is_answered(self):
+        # 5 * S cards, just under 2**2800, so every count is below 2**14000.
+        suits = (2 ** 2800 - 1) // 5
+        code, out = invoke("poker", "proof", "--values", "5", "--suits",
+                           str(suits), "straight")
+        assert code == 0
+        assert f"({suits}^5 - {suits})" in out
+        code, _ = invoke("poker", "proof", "--values", "5", "--suits",
+                         str(suits + 1), "straight")
+        assert code == 2
+
 
 class TestGraphCommands:
     def test_analyze_konigsberg(self, konigsberg_file):

@@ -3,7 +3,12 @@ from hypothesis import given, strategies as st
 
 from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                                InvalidDeckError, STANDARD_DECK, Wild, binomial,
-                               make_deck, parse_card, parse_hand, render_card)
+                               parse_card, parse_hand)
+from parlorproofs.errors import MAX_DIGITS
+
+# Standard value tokens in the 1..13 order, ace highest; T spells 10.
+STANDARD_VALUES = dict(zip("2 3 4 5 6 7 8 9 10 J Q K A".split(), range(1, 14)),
+                       T=9)
 
 
 class TestDeckSpec:
@@ -39,25 +44,6 @@ class TestDeckSpec:
     def test_non_integer_parameters_rejected(self, kwargs):
         with pytest.raises(InvalidDeckError, match="must be an int"):
             DeckSpec(**kwargs)
-
-
-class TestMakeDeck:
-    def test_standard_has_52_cards(self):
-        assert len(make_deck(STANDARD_DECK)) == 52
-
-    def test_one_value_five_suits(self):
-        deck = make_deck(DeckSpec(values=1, suits=5))
-        assert len(deck) == 5
-        assert all(c.value == 1 for c in deck)
-
-    def test_wilds_come_last(self):
-        deck = make_deck(DeckSpec(values=2, suits=2, wilds=2))
-        assert deck[-2:] == [Wild(1), Wild(2)]
-        assert len(deck) == 6
-
-    def test_all_cards_distinct(self):
-        deck = make_deck(DeckSpec(values=6, suits=3, wilds=2))
-        assert len(set(deck)) == len(deck) == 20
 
 
 class TestParseCard:
@@ -97,9 +83,33 @@ class TestParseCard:
         DeckSpec(values=1, suits=5),
         DeckSpec(values=13, suits=4, wilds=3),
     ])
-    def test_round_trip_every_card(self, spec):
-        for card in make_deck(spec):
-            assert parse_card(render_card(card, spec), spec) == card
+    def test_every_card_parses(self, spec):
+        for value in range(1, spec.values + 1):
+            for suit in range(1, spec.suits + 1):
+                assert parse_card(f"v{value}s{suit}", spec) == Card(value, suit)
+        for index in range(1, spec.wilds + 1):
+            assert parse_card(f"W{index}", spec) == Wild(index)
+        if (spec.values, spec.suits) != (13, 4):
+            return
+        for name, value in STANDARD_VALUES.items():
+            for suit, s in zip("CDHS", range(1, 5)):
+                assert parse_card(name + suit, spec) == Card(value, s)
+
+    @pytest.mark.parametrize("text", [
+        "v" + "1" * 5000 + "s1",
+        "v1s" + "1" * 5000,
+        "W" + "1" * 5000,
+        "v" + "0" * MAX_DIGITS + "1s1",
+    ], ids=["value", "suit", "wild", "padded"])
+    def test_overlong_numbers_rejected(self, text):
+        spec = DeckSpec(values=10 ** 5, suits=10 ** 5, wilds=10 ** 5)
+        with pytest.raises(CardParseError, match="digits exceeds the limit"):
+            parse_card(text, spec)
+
+    def test_numbers_up_to_the_digit_limit_parse(self):
+        digits = "0" * (MAX_DIGITS - 1) + "7"
+        assert parse_card(f"v{digits}s{digits}", DeckSpec(values=7, suits=7)) \
+            == Card(7, 7)
 
 
 class TestParseHand:

@@ -20,12 +20,17 @@ _WORDS = st.sampled_from([
     "AS", "v0s9", "W0", "#", "=",
 ])
 _JUNK = st.lists(st.one_of(_WORDS, st.text(max_size=6)), max_size=6).map(" ".join)
+# Digit runs on both sides of the parsers' 1,000-digit bound and of CPython's
+# 4,300-digit limit on int/str conversion.
+_DIGITS = st.sampled_from([1, 800, 1000, 1001, 4301, 5000]).map(lambda n: "9" * n)
 
 
 def _text(header, *lines):
     """Arbitrary text, lines of a format with junk among them, or a header
-    and lines of the format alone, which often parse."""
-    line = st.sampled_from(lines)
+    and lines of the format alone, which often parse.  A `{}` in a line
+    takes a run of digits."""
+    line = st.tuples(st.sampled_from(lines), _DIGITS).map(
+        lambda pair: pair[0].format(pair[1]))
     return st.one_of(
         st.text(),
         st.lists(st.one_of(line, _JUNK), max_size=8).map("\n".join),
@@ -33,16 +38,20 @@ def _text(header, *lines):
         .map("".join))
 
 
-CARDS = _text(st.just(""), "AS", "10h", "kd", "v1s1", "v5s2", "W1", "W3")
+CARDS = _text(st.just(""), "AS", "10h", "kd", "v1s1", "v5s2", "W1", "W3",
+              "v{}s1", "v1s{}", "W{}")
 GRAPH = _text(st.just("vertex A\nvertex B\n"), "vertex C", "edge A B",
               "edge A B label", "edge B outside", "edge A A", "# note", "")
 RUBRIC = _text(st.sampled_from(["rubric point R max=10\nsection S\n",
                                 "rubric trait T\n"]),
                'criterion "c" points=10', 'criterion "d" points=5 x2',
                "section U", 'trait "t"', 'level 1 "a"', 'level 2 "b"',
-               'level 3 "c"', 'level 4 "d"', 'level 5 "e"', "# note", "")
+               'level 3 "c"', 'level 4 "d"', 'level 5 "e"', "# note", "",
+               "rubric point R max={}", 'criterion "c" points={}',
+               'criterion "d" points=5 x{}')
 MARKS = _text(st.just(""), 'award "c" 9.5', 'award "c" 10', 'award "d" 1',
-              'award "c" 1.25', 'level "t" 3', 'level "u" 5', "# note", "")
+              'award "c" 1.25', 'level "t" 3', 'level "u" 5', "# note", "",
+              'award "c" {}')
 
 SPECS = st.sampled_from([STANDARD_DECK, DeckSpec(5, 2, wilds=2),
                          DeckSpec(1, 5)])
@@ -66,7 +75,7 @@ def test_parsers_raise_only_input_errors(parse, text, data, spec):
 
 
 _INT = st.one_of(st.integers(1, 13), st.integers(-2, 14),
-                 st.integers()).map(str)
+                 st.integers()).map(str) | _DIGITS
 _SLUG = st.one_of(st.sampled_from([c.slug for c in HandCategory]),
                   st.text(max_size=6))
 _ENTRY = st.one_of(st.tuples(st.text(max_size=4), st.just("="), _SLUG)

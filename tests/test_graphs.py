@@ -4,14 +4,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parlorproofs.fixtures import cat_and_mouse_graph, konigsberg_graph
-from parlorproofs.graphs import (DegenerateGraphError, EulerianStatus,
-                                 GraphFormatError, ProofContractError, Trail,
-                                 degree_map, eulerian_status, find_trail,
-                                 graph_from_edges, impossibility_proof,
-                                 odd_vertices, parse_graph)
+from parlorproofs.graphs import (DegenerateGraphError, Edge, EulerianStatus,
+                                 GraphFormatError, Multigraph,
+                                 ProofContractError, Trail, degree_map,
+                                 eulerian_status, find_trail,
+                                 impossibility_proof, odd_vertices, parse_graph)
 from parlorproofs.proofdoc import StepKind
 
 from independent import trail_exists_backtracking
+
+
+def graph_from_edges(pairs, extra_vertices=()):
+    """A Multigraph with one edge per (u, v) pair, ids from 1 in order."""
+    edges = tuple(Edge(i, u, v) for i, (u, v) in enumerate(pairs, start=1))
+    vertices = {w for pair in pairs for w in pair} | set(extra_vertices)
+    return Multigraph(frozenset(vertices), edges)
 
 
 def cycle4():
@@ -107,7 +114,8 @@ class TestEulerianStatus:
 
 
 def assert_valid_trail(trail: Trail, g) -> None:
-    assert sorted(trail.edge_ids()) == sorted(e.id for e in g.edges)
+    assert sorted(step.edge_id for step in trail.steps) == \
+        sorted(e.id for e in g.edges)
     by_id = {e.id: e for e in g.edges}
     current = trail.start
     for step in trail.steps:

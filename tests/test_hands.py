@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parlorproofs.deck import (AceRule, Card, DeckSpec, Hand, STANDARD_DECK,
-                               Wild, binomial, make_deck, parse_hand)
-from parlorproofs.hands import (HandCategory, WildClassification,
-                                WildCardsUnsupportedError, WildInHandError,
-                                _run_count, classify, classify_with_wilds,
-                                classify_with_wilds_detail, combinatorial_proof,
+                               Wild, binomial, parse_hand)
+from parlorproofs.hands import (HandCategory, WildCardsUnsupportedError,
+                                WildInHandError, _run_count, classify,
+                                classify_with_wilds, combinatorial_proof,
                                 count_category, determine_winner, probability)
 from parlorproofs.proofdoc import StepKind
 
-from independent import (best_over_substitutions, five_of_a_kind_reachable,
-                         naive_classify, run_value_sets)
+from independent import (best_over_substitutions, naive_classify,
+                         natural_pairs, run_value_sets)
 
 SMALL_SPECS = [
     STANDARD_DECK,
@@ -107,7 +106,7 @@ class TestClassify:
     @pytest.mark.parametrize("spec", SMALL_SPECS[:6])
     def test_matches_independent_classifier(self, spec):
         rng = random.Random(20260824)
-        deck = [(c.value, c.suit) for c in make_deck(spec)]
+        deck = natural_pairs(spec)
         for _ in range(300):
             pairs = rng.sample(deck, 5)
             hand = Hand(frozenset(Card(v, s) for v, s in pairs))
@@ -116,7 +115,7 @@ class TestClassify:
     def test_exclusion_clauses(self):
         # no FLUSH hand is a suited run; no STRAIGHT hand is single-suited
         spec = DeckSpec(values=6, suits=2)
-        deck = make_deck(spec)
+        deck = [Card(v, s) for v, s in natural_pairs(spec)]
         runs = run_value_sets(spec)
         for combo in combinations(deck, 5):
             hand = Hand(frozenset(combo))
@@ -135,9 +134,7 @@ class TestClassifyWithWilds:
 
     def test_quads_plus_wild_reports_four_of_a_kind(self):
         hand = parse_hand("2C 2D 2H 2S W1", self.SPEC)
-        detail = classify_with_wilds_detail(hand, self.SPEC)
-        assert detail.category is HandCategory.FOUR_OF_A_KIND
-        assert detail.five_of_a_kind
+        assert classify_with_wilds(hand, self.SPEC) is HandCategory.FOUR_OF_A_KIND
 
     def test_wild_completes_royal_flush(self):
         hand = parse_hand("10S JS QS KS W1", self.SPEC)
@@ -175,8 +172,7 @@ class TestClassifyWithWilds:
                     if values * suits < 5 - k:
                         continue
                     spec = DeckSpec(values, suits, k, ace_rule)
-                    pool = [(v, s) for v in range(1, values + 1)
-                            for s in range(1, suits + 1)]
+                    pool = natural_pairs(spec)
                     wilds = [Wild(i) for i in range(1, k + 1)]
                     seen = set()
                     for naturals in combinations(pool, 5 - k):
@@ -187,20 +183,16 @@ class TestClassifyWithWilds:
                         seen.add(key)
                         hand = Hand(frozenset(
                             [Card(v, s) for v, s in naturals] + wilds))
-                        got = classify_with_wilds_detail(hand, spec)
+                        got = classify_with_wilds(hand, spec)
                         want = best_over_substitutions(naturals, k, spec)
-                        quint = (want is HandCategory.FOUR_OF_A_KIND
-                                 and five_of_a_kind_reachable(naturals))
-                        assert (got.category, got.five_of_a_kind) == \
-                            (want, quint), (spec, naturals)
+                        assert got is want, (spec, naturals)
                         checked += 1
         assert checked > 1000
 
     def test_natural_five_of_a_value_sets_no_flag(self):
         spec = DeckSpec(values=2, suits=6)
         hand = Hand(frozenset(Card(1, s) for s in range(1, 6)))
-        assert classify_with_wilds_detail(hand, spec) == \
-            WildClassification(HandCategory.FOUR_OF_A_KIND, False)
+        assert classify_with_wilds(hand, spec) is HandCategory.FOUR_OF_A_KIND
 
     @pytest.mark.parametrize("wilds,held,category", [
         (5, "", HandCategory.ROYAL_FLUSH),
@@ -212,9 +204,9 @@ class TestClassifyWithWilds:
         tokens = " ".join(f"W{i}" for i in range(1, wilds + 1))
         hand = parse_hand(f"{held} {tokens}", spec)
         start = time.perf_counter()
-        detail = classify_with_wilds_detail(hand, spec)
+        got = classify_with_wilds(hand, spec)
         assert time.perf_counter() - start < 0.01
-        assert detail == WildClassification(category, False)
+        assert got is category
 
     @pytest.mark.parametrize("cards", [
         {Card(20, 9), Card(1, 1), Card(2, 1), Card(3, 1), Wild(1)},
@@ -226,8 +218,7 @@ class TestClassifyWithWilds:
 
     def test_monotone_over_any_fixed_substitution(self):
         rng = random.Random(99)
-        deck = make_deck(self.SPEC)
-        naturals_pool = [c for c in deck if not c.is_wild]
+        naturals_pool = [Card(v, s) for v, s in natural_pairs(self.SPEC)]
         for _ in range(60):
             naturals = rng.sample(naturals_pool, 4)
             hand = Hand(frozenset(naturals + [Wild(1)]))

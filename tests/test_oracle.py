@@ -27,8 +27,9 @@ class TestTallyAll:
         assert sum(tally_all(spec).values()) == binomial(11, 5)
 
     def test_cap_refusal_names_the_required_count(self):
-        with pytest.raises(EnumerationCapError, match="8568"):
-            tally_all(DeckSpec(values=6, suits=3), cap=5000)
+        # C(200, 5) hands, refused before any enumeration.
+        with pytest.raises(EnumerationCapError, match="2535650040"):
+            tally_all(DeckSpec(values=200, suits=1))
 
     def test_worker_count_does_not_change_results(self):
         for spec in (DeckSpec(values=7, suits=3),

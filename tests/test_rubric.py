@@ -3,10 +3,23 @@ from fractions import Fraction
 import pytest
 
 from parlorproofs.fixtures import fixture_text, poker_rubric, writing_rubric
-from parlorproofs.rubric import (LEVEL_LABELS, MarkSheet, MarkSheetError,
-                                 PointRubric, RubricFormatError, TraitRubric,
-                                 full_marks, load_rubric, parse_marks,
-                                 render_rubric, score, zero_marks)
+from parlorproofs.errors import MAX_DIGITS
+from parlorproofs.rubric import (MarkSheet, MarkSheetError, PointRubric,
+                                 RubricFormatError, TraitRubric, load_rubric,
+                                 parse_marks, score)
+
+
+def full_marks(rubric):
+    """Every criterion awarded its points, or every trait at level 5."""
+    if isinstance(rubric, TraitRubric):
+        return MarkSheet((), tuple((t.name, 5) for t in rubric.traits))
+    return MarkSheet(tuple((c.description, 2 * c.points)
+                           for s in rubric.sections for c in s.criteria), ())
+
+
+def zero_marks(rubric):
+    """Every criterion of a point rubric awarded 0."""
+    return MarkSheet(tuple((d, 0) for d, _ in full_marks(rubric).awards_hp), ())
 
 
 class TestPokerRubricFixture:
@@ -42,10 +55,6 @@ class TestWritingRubricFixture:
     def test_maximum(self):
         assert writing_rubric().maximum == 15
 
-    def test_level_labels(self):
-        assert LEVEL_LABELS[1] == "Does not meet (1)"
-        assert LEVEL_LABELS[5] == "Exceeds (5)"
-
 
 class TestLoadRubric:
     def test_sum_mismatch_rejected(self):
@@ -67,11 +76,16 @@ class TestLoadRubric:
         with pytest.raises(RubricFormatError, match="duplicate"):
             load_rubric(text)
 
-    @pytest.mark.parametrize("name", ["poker_rubric.rubric",
-                                      "writing_rubric.rubric"])
-    def test_round_trip(self, name):
-        rubric = load_rubric(fixture_text(name))
-        assert load_rubric(render_rubric(rubric)) == rubric
+    @pytest.mark.parametrize("text", [
+        "rubric point R max=" + "1" * 5000,
+        'rubric point R max=1\nsection S\ncriterion "c" points=' + "1" * 5000,
+        'rubric point R max=1\nsection S\ncriterion "c" points=1 x'
+        + "1" * 5000,
+        "rubric point R max=" + "0" * MAX_DIGITS + "1",
+    ], ids=["max", "points", "multiplier", "padded"])
+    def test_overlong_numbers_rejected(self, text):
+        with pytest.raises(RubricFormatError, match="digits exceeds the limit"):
+            load_rubric(text)
 
 
 class TestScorePointRubric:

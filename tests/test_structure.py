@@ -1,11 +1,13 @@
-"""Guards on the shape of the library: its source, checked with `ast`, and
-its error classes."""
+"""Guards on the shape of the library: its source, checked with `ast`, its
+public names and its error classes."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
 
+import parlorproofs
 from parlorproofs import (CardParseError, DegenerateGraphError,
                           EnumerationCapError, GraphFormatError, InputError,
                           InvalidDeckError, MarkSheetError, ProofContractError,
@@ -14,6 +16,25 @@ from parlorproofs.hands import WildInHandError
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parlorproofs"
 MODULES = sorted(SRC.glob("*.py"))
+
+
+# Every name `parlorproofs` exports.  A name joins only when the CLI, README
+# or the benchmark calls it, and a deleted one cannot come back unnoticed.
+EXPORTS = sorted("""
+    AceRule Card CardParseError DeckSpec Hand InvalidDeckError STANDARD_DECK
+    Wild binomial parse_card parse_hand
+    InputError
+    DegenerateGraphError Edge EulerianStatus GraphFormatError Multigraph
+    ProofContractError Trail degree_map eulerian_status find_trail
+    impossibility_proof odd_vertices parse_graph
+    HandCategory Probability WildCardsUnsupportedError WinnerReport classify
+    classify_with_wilds combinatorial_proof count_category determine_winner
+    probability
+    EnumerationCapError VerificationReport tally_all verify_closed_forms
+    ProofDocument ProofStep StepKind
+    MarkSheet MarkSheetError PointRubric RubricFormatError ScoreReport
+    TraitRubric load_rubric parse_marks score
+""".split())
 
 
 def _tree(path):
@@ -66,6 +87,20 @@ def test_no_bare_value_error_or_exception_raised(path):
             name = exc.id if isinstance(exc, ast.Name) else None
             assert name not in ("ValueError", "Exception"), \
                 f"{path.name}:{node.lineno} raises {name}"
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_export_imports_from_the_package(name):
+    namespace = {}
+    exec(f"from parlorproofs import {name}", namespace)
+    assert namespace[name] is getattr(parlorproofs, name)
+
+
+def test_exports_are_exactly_the_listed_names():
+    exported = {name for name, value in vars(parlorproofs).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)}
+    assert exported == set(EXPORTS)
 
 
 @pytest.mark.parametrize("cls", [
