@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
-from .errors import InputError, parse_digits
+from .errors import InputError, parse_digits, render_int
 
 
 class InvalidDeckError(InputError):
@@ -46,11 +46,14 @@ class DeckSpec:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InvalidDeckError(f"{name} must be an int, got {value!r}")
         if self.values < 1:
-            raise InvalidDeckError(f"values must be >= 1, got {self.values}")
+            raise InvalidDeckError(
+                f"values must be >= 1, got {render_int(self.values)}")
         if self.suits < 1:
-            raise InvalidDeckError(f"suits must be >= 1, got {self.suits}")
+            raise InvalidDeckError(
+                f"suits must be >= 1, got {render_int(self.suits)}")
         if self.wilds < 0:
-            raise InvalidDeckError(f"wilds must be >= 0, got {self.wilds}")
+            raise InvalidDeckError(
+                f"wilds must be >= 0, got {render_int(self.wilds)}")
         if self.size < 5:
             raise InvalidDeckError(
                 f"deck must hold at least 5 cards for a hand; "
@@ -137,7 +140,8 @@ def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> AnyCard:
         index = parse_digits(m.group(1), CardParseError, "wild index")
         if not 1 <= index <= spec.wilds:
             raise CardParseError(
-                f"wild index {index} out of range for a deck with {spec.wilds} wilds"
+                f"wild index {index} out of range for a deck with "
+                f"{render_int(spec.wilds)} wilds"
             )
         return Wild(index)
 
@@ -161,11 +165,13 @@ def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> AnyCard:
 def _check_range(token: str, value: int, suit: int, spec: DeckSpec) -> None:
     if not 1 <= value <= spec.values:
         raise CardParseError(
-            f"card {token!r}: value {value} out of range 1..{spec.values}"
+            f"card {token!r}: value {value} out of range "
+            f"1..{render_int(spec.values)}"
         )
     if not 1 <= suit <= spec.suits:
         raise CardParseError(
-            f"card {token!r}: suit {suit} out of range 1..{spec.suits}"
+            f"card {token!r}: suit {suit} out of range "
+            f"1..{render_int(spec.suits)}"
         )
 
 

@@ -1,5 +1,7 @@
-"""The one declared error for rejected input, and the bound on the numbers
-that input may spell out."""
+"""The one declared error for rejected input, the bound on the numbers
+that input may spell out, and how error messages print any number."""
+
+import math
 
 # CPython converts no int of more than 4,300 decimal digits to or from str,
 # and the conversion time grows with the square of the length.  Numbers in
@@ -20,3 +22,12 @@ def parse_digits(digits: str, error: type, context: str) -> int:
         raise error(f"{context}: a number of {len(digits)} digits exceeds "
                     f"the limit of {MAX_DIGITS}")
     return int(digits)
+
+
+def render_int(n: int) -> str:
+    """str(n), or "a number of about N digits" when n is too long to
+    convert, so that an error message about a huge deck can still be made."""
+    if n.bit_length() <= 3 * MAX_DIGITS:
+        return str(n)
+    digits = int(n.bit_length() * math.log10(2)) + 1
+    return f"a number of about {digits} digits"

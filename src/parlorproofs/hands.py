@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .deck import AceRule, DeckSpec, Hand, binomial
-from .errors import InputError
+from .errors import InputError, render_int
 from .proofdoc import ProofDocument, ProofStep, StepKind
 
 
@@ -101,11 +101,16 @@ def classify_pairs(pairs: Sequence, spec: DeckSpec) -> HandCategory:
 def _check_cards(hand: Hand, spec: DeckSpec) -> None:
     for card in hand.cards:
         if card.is_wild:
-            legal = 1 <= card.index <= spec.wilds
-        else:
-            legal = 1 <= card.value <= spec.values and 1 <= card.suit <= spec.suits
-        if not legal:
-            raise InputError(f"card {card} not legal for deck {spec}")
+            if not 1 <= card.index <= spec.wilds:
+                raise InputError(
+                    f"wild index {render_int(card.index)} not legal for a "
+                    f"deck with {render_int(spec.wilds)} wilds")
+        elif not (1 <= card.value <= spec.values and 1 <= card.suit <= spec.suits):
+            raise InputError(
+                f"card of value {render_int(card.value)} and suit "
+                f"{render_int(card.suit)} not legal for a deck of "
+                f"{render_int(spec.values)} values x "
+                f"{render_int(spec.suits)} suits")
 
 
 def _pairs(cards: Iterable) -> list:

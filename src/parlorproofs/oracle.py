@@ -1,13 +1,18 @@
-"""Brute-force ground truth: enumerate every 5-card hand and tally categories.
+"""Brute-force ground truth: tally the categories of all 5-card hands by
+enumeration.
 
-Enumeration walks the natural (value, suit) cards in value-major index
-order.  A hand holding k of the W wilds is a (5-k)-subset of the naturals
-together with any of C(W, k) wild k-subsets, so each natural subset is
-classified once and weighted by C(W, k); the C(W, 5) all-wild hands are
-added once.  Natural hands are classified by `hands.classify_pairs`, the
+The hands are split into tasks (v, t): v is the lowest value among a hand's
+natural cards and t the number of suits in which it holds v.  A suit
+permutation that maps those t suits onto suits 1..t keeps every card above v
+above v and keeps every category, so each task enumerates only the hands
+holding (v, 1)..(v, t), with the rest drawn from the natural cards above v,
+and weights each by the C(S, t) choices of suits.  A hand holding k of the W
+wilds is one of those natural subsets together with any of C(W, k) wild
+k-subsets, so it is weighted by C(W, k) as well; the C(W, 5) all-wild hands
+are added once.  Natural hands are classified by `hands.classify_pairs`, the
 classifier behind `classify`, and wild hands by `hands.best_completion`.
-In a process pool each lowest natural index is one task, taken by
-whichever worker is free.
+Every weight counts suit choices and wild subsets, never a closed form.
+In a process pool each task is taken by whichever worker is free.
 The tallies check the closed forms in `hands`; the classifiers themselves
 are checked by `tests/independent.py` and `bench/reference.py`, which share
 no code with the library.
@@ -16,12 +21,11 @@ no code with the library.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 from .deck import DeckSpec, binomial
-from .errors import InputError
+from .errors import InputError, render_int
 from .hands import HandCategory, best_completion, classify_pairs, count_category
 
 ENUMERATION_CAP = 10 ** 8
@@ -31,52 +35,59 @@ class EnumerationCapError(InputError):
     """The deck's hand count exceeds ENUMERATION_CAP."""
 
 
-def _tally_chunk(spec: DeckSpec, first_lo: int, first_hi: int) -> dict:
-    """Tally hands whose lowest natural card index is in [first_lo, first_hi)."""
-    pairs = [(v, s) for v in range(1, spec.values + 1)
+def _tally_task(spec: DeckSpec, v: int, t: int) -> dict:
+    """Tally the hands whose lowest natural value v is held in t suits."""
+    low = tuple((v, s) for s in range(1, t + 1))
+    above = [(u, s) for u in range(v + 1, spec.values + 1)
              for s in range(1, spec.suits + 1)]
-    ways = [binomial(spec.wilds, k) for k in range(min(spec.wilds, 4) + 1)]
+    orbit = binomial(spec.suits, t)
     tallies = dict.fromkeys(HandCategory, 0)
 
-    for i in range(first_lo, first_hi):
-        first = (pairs[i],)
-        rest = pairs[i + 1:]
-        for combo in combinations(rest, 4):
-            tallies[classify_pairs(first + combo, spec)] += 1
-        for k in range(1, len(ways)):
-            for combo in combinations(rest, 4 - k):
-                tallies[best_completion(first + combo, k, spec)] += ways[k]
+    for combo in combinations(above, 5 - t):
+        tallies[classify_pairs(low + combo, spec)] += orbit
+    for k in range(1, min(spec.wilds, 5 - t) + 1):
+        weight = orbit * binomial(spec.wilds, k)
+        for combo in combinations(above, 5 - t - k):
+            tallies[best_completion(low + combo, k, spec)] += weight
     return tallies
 
 
 def tally_all(spec: DeckSpec, workers: int = 1) -> dict:
     """Exact per-category tally over all C(deck size, 5) hands.
 
-    With workers > 1 the pool gets one task per lowest natural index, and
-    whichever process is free takes the next; the tasks differ in cost, so
-    no split is planned ahead.  At most min(workers, V*S, CPU count)
-    processes start; when that is 1 the enumeration runs in this process.
-    Results are bit-identical for any worker count.
+    One task per lowest natural value v and number t of suits holding it;
+    a suit permutation that moves those t suits onto 1..t changes no
+    category, so each task enumerates suits 1..t of v and weights by C(S, t).
+    With workers > 1 whichever pool process is free takes the next task; the
+    tasks differ in cost, so no split is planned ahead.  At most
+    min(workers, V*min(S, 5), CPU count) processes start; when that is 1 the
+    enumeration runs in this process.  Results are bit-identical for any
+    worker count.
     """
     total = binomial(spec.size, 5)
     if total > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"enumerating {total} hands exceeds the cap of {ENUMERATION_CAP}"
+            f"enumerating {render_int(total)} hands exceeds the cap of "
+            f"{ENUMERATION_CAP}"
         )
 
-    n = spec.values * spec.suits
-    processes = min(workers, n, os.cpu_count() or 1)
+    tasks = [(v, t) for v in range(1, spec.values + 1)
+             for t in range(1, min(spec.suits, 5) + 1)]
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    tallies = dict.fromkeys(HandCategory, 0)
     if processes <= 1:
-        tallies = _tally_chunk(spec, 0, n)
+        parts = [_tally_task(spec, v, t) for v, t in tasks]
     else:
-        tallies = dict.fromkeys(HandCategory, 0)
+        # Imported here, so that a run without a pool never pays for it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            for part in pool.map(_tally_chunk, [spec] * n, range(n),
-                                 range(1, n + 1)):
-                for cat, count in part.items():
-                    tallies[cat] += count
-    # The hands without a natural card; none unless W >= 5.
-    tallies[best_completion((), 5, spec)] += binomial(spec.wilds, 5)
+            parts = list(pool.map(_tally_task, [spec] * len(tasks),
+                                  *zip(*tasks)))
+    for part in parts:
+        for cat, count in part.items():
+            tallies[cat] += count
+    if spec.wilds >= 5:  # the hands without a natural card
+        tallies[best_completion((), 5, spec)] += binomial(spec.wilds, 5)
     return tallies
 
 

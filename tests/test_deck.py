@@ -45,6 +45,11 @@ class TestDeckSpec:
         with pytest.raises(InvalidDeckError, match="must be an int"):
             DeckSpec(**kwargs)
 
+    @pytest.mark.parametrize("name", ["values", "suits", "wilds"])
+    def test_negative_parameter_too_long_to_print_rejected(self, name):
+        with pytest.raises(InvalidDeckError, match="about 5001 digits"):
+            DeckSpec(**{name: -10 ** 5000})
+
 
 class TestParseCard:
     def test_ace_of_spades(self):
@@ -105,6 +110,13 @@ class TestParseCard:
         spec = DeckSpec(values=10 ** 5, suits=10 ** 5, wilds=10 ** 5)
         with pytest.raises(CardParseError, match="digits exceeds the limit"):
             parse_card(text, spec)
+
+    @pytest.mark.parametrize("token", ["v0s1", "v1s0", "W0"])
+    def test_range_error_names_a_deck_too_long_to_print(self, token):
+        # 5,001-digit deck numbers are past CPython's int-to-str limit.
+        big = 10 ** 5000
+        with pytest.raises(CardParseError, match="about 5001 digits"):
+            parse_card(token, DeckSpec(values=big, suits=big, wilds=big))
 
     def test_numbers_up_to_the_digit_limit_parse(self):
         digits = "0" * (MAX_DIGITS - 1) + "7"

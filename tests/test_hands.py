@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from parlorproofs.deck import (AceRule, Card, DeckSpec, Hand, STANDARD_DECK,
                                Wild, binomial, parse_hand)
+from parlorproofs.errors import InputError
 from parlorproofs.hands import (HandCategory, WildCardsUnsupportedError,
                                 WildInHandError, _run_count, classify,
                                 classify_with_wilds, combinatorial_proof,
@@ -215,6 +216,18 @@ class TestClassifyWithWilds:
     def test_cards_outside_the_deck_rejected(self, cards):
         with pytest.raises(ValueError, match="not legal"):
             classify_with_wilds(Hand(frozenset(cards)), self.SPEC)
+
+    @pytest.mark.parametrize("cards", [
+        {Card(0, 1), Card(1, 1), Card(2, 1), Card(3, 1), Card(4, 1)},
+        {Card(10 ** 5000 + 1, 1), Card(1, 1), Card(2, 1), Card(3, 1), Wild(1)},
+        {Card(1, 1), Card(2, 1), Card(3, 1), Card(4, 1), Wild(10 ** 5000 + 1)},
+    ], ids=["low", "high", "wild"])
+    def test_out_of_range_card_on_a_deck_too_long_to_print(self, cards):
+        # 5,001-digit numbers are past CPython's int-to-str limit.
+        big = 10 ** 5000
+        spec = DeckSpec(values=big, suits=big, wilds=big)
+        with pytest.raises(InputError, match="not legal .*about 5001 digits"):
+            classify_with_wilds(Hand(frozenset(cards)), spec)
 
     def test_monotone_over_any_fixed_substitution(self):
         rng = random.Random(99)

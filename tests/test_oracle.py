@@ -1,6 +1,9 @@
+import concurrent.futures
 import json
 import os
 import time
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -10,6 +13,28 @@ from parlorproofs.fixtures import fixture_text
 from parlorproofs.hands import HandCategory, WildCardsUnsupportedError
 from parlorproofs.oracle import (EnumerationCapError, tally_all,
                                  verify_closed_forms)
+
+from independent import (best_over_substitutions, naive_classifier,
+                         natural_pairs)
+
+
+def plain_tally(spec):
+    """Every hand of the deck, wilds as distinct cards, classified one by one
+    by the independent checkers."""
+    wilds = [("wild", i) for i in range(1, spec.wilds + 1)]
+    classify = naive_classifier(spec)
+    best = {}
+    tallies = dict.fromkeys(HandCategory, 0)
+    for hand in combinations(natural_pairs(spec) + wilds, 5):
+        held = tuple(card for card in hand if card[0] != "wild")
+        k = 5 - len(held)
+        if k == 0:
+            tallies[classify(held)] += 1
+            continue
+        if held not in best:
+            best[held] = best_over_substitutions(held, k, spec)
+        tallies[best[held]] += 1
+    return tallies
 
 
 class TestTallyAll:
@@ -30,6 +55,47 @@ class TestTallyAll:
         # C(200, 5) hands, refused before any enumeration.
         with pytest.raises(EnumerationCapError, match="2535650040"):
             tally_all(DeckSpec(values=200, suits=1))
+
+    def test_cap_refusal_on_a_count_too_long_to_print(self):
+        # C(4 * 10**900, 5) has more digits than CPython converts to str.
+        with pytest.raises(EnumerationCapError,
+                           match="a number of about 45[0-9][0-9] digits"):
+            tally_all(DeckSpec(values=10 ** 900))
+
+    @pytest.mark.parametrize("ace_rule", list(AceRule))
+    @pytest.mark.parametrize("shape", [(5, 5, 0), (3, 6, 0), (2, 6, 1),
+                                       (5, 2, 6), (2, 5, 2)],
+                             ids="v{0[0]}s{0[1]}w{0[2]}".format)
+    def test_equals_the_plain_enumeration(self, shape, ace_rule):
+        # S = 5 and 6 reach t = 5 suits of the lowest value; W = 6 reaches
+        # the all-wild hands.
+        spec = DeckSpec(*shape, ace_rule=ace_rule)
+        assert tally_all(spec) == plain_tally(spec)
+
+    def test_classifies_one_hand_per_suit_choice(self, monkeypatch):
+        # One classifier call per hand holding suits 1..t of its lowest
+        # value v, with 5 - t - k cards drawn from the S*(V - v) above v.
+        calls = Counter()
+
+        def counting(name, classifier):
+            def counted(*args):
+                calls[name] += 1
+                return classifier(*args)
+            return counted
+
+        monkeypatch.setattr(oracle, "classify_pairs",
+                            counting("natural", oracle.classify_pairs))
+        monkeypatch.setattr(oracle, "best_completion",
+                            counting("wild", oracle.best_completion))
+        V, S, W = 8, 4, 2
+        tallies = tally_all(DeckSpec(V, S, wilds=W), workers=1)
+        tasks = [(v, t) for v in range(1, V + 1) for t in range(1, S + 1)]
+        assert calls == {
+            "natural": sum(binomial(S * (V - v), 5 - t) for v, t in tasks),
+            "wild": sum(binomial(S * (V - v), 5 - t - k) for v, t in tasks
+                        for k in range(1, min(W, 5 - t) + 1)),
+        }
+        assert sum(tallies.values()) == binomial(V * S + W, 5)
 
     def test_worker_count_does_not_change_results(self):
         for spec in (DeckSpec(values=7, suits=3),
@@ -54,7 +120,8 @@ class TestTallyAll:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
         # A fixed CPU count keeps the expected pool sizes machine-independent.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for spec, pools in ((DeckSpec(values=6, suits=3, wilds=2), [3]),

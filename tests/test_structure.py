@@ -2,6 +2,9 @@
 public names and its error classes."""
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -87,6 +90,17 @@ def test_no_bare_value_error_or_exception_raised(path):
             name = exc.id if isinstance(exc, ast.Name) else None
             assert name not in ("ValueError", "Exception"), \
                 f"{path.name}:{node.lineno} raises {name}"
+
+
+def test_cli_start_does_not_import_the_process_pool():
+    # tally_all imports concurrent.futures only when it starts a pool.
+    code = ("import sys, parlorproofs.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"
 
 
 @pytest.mark.parametrize("name", EXPORTS)
