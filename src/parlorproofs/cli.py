@@ -74,20 +74,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Every number a poker command prints is below size**5 for the deck's size.
-# CPython prints no int of more than 4,300 digits (about 14,284 bits), so a
-# deck whose size has more bits than this is refused before any work.
-_MAX_DECK_BITS = 14_000 // 5
-
-
 def _deck_spec(args) -> DeckSpec:
     ace = AceRule.BOTH if args.ace == "both" else AceRule.HIGH_ONLY
     spec = DeckSpec(values=args.values, suits=args.suits,
                     wilds=getattr(args, "wilds", 0), ace_rule=ace)
-    bits = spec.size.bit_length()
-    if bits > _MAX_DECK_BITS:
-        raise InputError(f"deck too large to print its counts: its size has "
-                         f"{bits} bits, at most {_MAX_DECK_BITS} are allowed")
+    hands.require_printable(spec)
     return spec
 
 

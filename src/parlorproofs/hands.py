@@ -25,6 +25,26 @@ class WildInHandError(InputError):
     """classify() got a wild card; classify_with_wilds handles those."""
 
 
+class DeckTooLargeError(InputError):
+    """The deck's counts are too long to print; see require_printable."""
+
+
+# Every count and total of a deck is below size**5.  CPython prints no int of
+# more than 4,300 digits (about 14,284 bits), so a deck whose size has more
+# bits than this is refused before any answer is built.
+MAX_DECK_BITS = 14_000 // 5
+
+
+def require_printable(spec: DeckSpec) -> None:
+    """Raise DeckTooLargeError when the deck's size has more than
+    MAX_DECK_BITS bits, so that its counts could not be printed."""
+    bits = spec.size.bit_length()
+    if bits > MAX_DECK_BITS:
+        raise DeckTooLargeError(
+            f"deck too large to print its counts: its size has {bits} bits, "
+            f"at most {MAX_DECK_BITS} are allowed")
+
+
 class HandCategory(IntEnum):
     """The ten categories, ordered by precedence (1 is strongest)."""
 
@@ -234,6 +254,7 @@ class Probability:
 
 def probability(category: HandCategory, spec: DeckSpec) -> Probability:
     """count_category over the C(V*S, 5) sample space, exact."""
+    require_printable(spec)
     return Probability(count_category(category, spec), binomial(spec.size, 5))
 
 
@@ -404,6 +425,7 @@ def _count_terms(category: HandCategory, spec: DeckSpec) -> list:
 def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument:
     """Claim-Proof counting document whose numbers match count_category."""
     _require_wild_free(spec)
+    require_printable(spec)
     terms = _count_terms(category, spec)
     total_hands = binomial(spec.size, 5)
     count = sum(_term_product(t) for t in terms)

@@ -1,17 +1,24 @@
 """Brute-force ground truth: tally the categories of all 5-card hands by
-enumeration.
+enumeration, one hand per suit-isomorphism class.
 
-The hands are split into tasks (v, t): v is the lowest value among a hand's
-natural cards and t the number of suits in which it holds v.  A suit
-permutation that maps those t suits onto suits 1..t keeps every card above v
-above v and keeps every category, so each task enumerates only the hands
-holding (v, 1)..(v, t), with the rest drawn from the natural cards above v,
-and weights each by the C(S, t) choices of suits.  A hand holding k of the W
-wilds is one of those natural subsets together with any of C(W, k) wild
-k-subsets, so it is weighted by C(W, k) as well; the C(W, 5) all-wild hands
-are added once.  Natural hands are classified by `hands.classify_pairs`, the
-classifier behind `classify`, and wild hands by `hands.best_completion`.
-Every weight counts suit choices and wild subsets, never a closed form.
+A suit relabeling changes no category, so one hand per orbit of the suit
+permutations is classified and weighted by its orbit size.  The hands are
+split into tasks (v, t): v is the lowest value among a hand's natural cards
+and t the number of suits in which it holds v.  A task holds v in suits
+1..t, for the C(S, t) choices of those suits, then walks the values above v
+in ascending order.  It carries the cells of suits that the held cards do
+not tell apart, (first suit, size), starting from (1, t) and (t+1, S-t).
+Holding the next value in the first a suits of a cell of n stands for
+C(n, a) choices, and the cell splits into its taken and untaken suits.
+Once every cell is a single suit no symmetry is left, and the rest of the
+hand is drawn from the cards above.  The standard deck classifies 134,459
+hands instead of 2,598,960.
+A hand holding k of the W wilds is a natural (5-k)-subset met on that walk
+together with any of C(W, k) wild k-subsets, so it is weighted by C(W, k) as
+well; the C(W, 5) all-wild hands are added once.  Natural hands are
+classified by `hands.classify_pairs`, the classifier behind `classify`, and
+wild hands by `hands.best_completion`.  Every weight counts suit choices and
+wild subsets, never a closed form.
 In a process pool each task is taken by whichever worker is free.
 The tallies check the closed forms in `hands`; the classifiers themselves
 are checked by `tests/independent.py` and `bench/reference.py`, which share
@@ -36,28 +43,69 @@ class EnumerationCapError(InputError):
 
 
 def _tally_task(spec: DeckSpec, v: int, t: int) -> dict:
-    """Tally the hands whose lowest natural value v is held in t suits."""
-    low = tuple((v, s) for s in range(1, t + 1))
-    above = [(u, s) for u in range(v + 1, spec.values + 1)
-             for s in range(1, spec.suits + 1)]
-    orbit = binomial(spec.suits, t)
+    """Tally the hands whose lowest natural value v is held in t suits, one
+    hand per orbit of the suit permutations that fix the held cards."""
+    V, S, W = spec.values, spec.suits, spec.wilds
     tallies = dict.fromkeys(HandCategory, 0)
+    splits = {}
 
-    for combo in combinations(above, 5 - t):
-        tallies[classify_pairs(low + combo, spec)] += orbit
-    for k in range(1, min(spec.wilds, 5 - t) + 1):
-        weight = orbit * binomial(spec.wilds, k)
-        for combo in combinations(above, 5 - t - k):
-            tallies[best_completion(low + combo, k, spec)] += weight
+    def split(cells: tuple, room: int) -> list:
+        # Every way to hold the next value in 1..room suits: the first a of
+        # the suits of each cell of n, for C(n, a) suit choices; the cell
+        # splits into its a taken and n - a untaken suits.
+        if (cells, room) not in splits:
+            parts = [(0, 1, (), ())]
+            for first, n in cells:
+                parts = [(taken + a, choices * binomial(n, a),
+                          suits + tuple(range(first, first + a)),
+                          refined + ((first, a), (first + a, n - a)))
+                         for taken, choices, suits, refined in parts
+                         for a in range(min(n, room - taken) + 1)]
+            splits[cells, room] = [
+                (choices, suits, tuple(cell for cell in refined if cell[1]))
+                for taken, choices, suits, refined in parts if taken]
+        return splits[cells, room]
+
+    # Each node holds some cards, the highest of value u, and the cells of
+    # the suits that those cards do not tell apart; its weight counts the
+    # suit choices that it stands for.
+    cells = tuple((first, n) for first, n in ((1, t), (t + 1, S - t)) if n)
+    nodes = [(tuple((v, s) for s in range(1, t + 1)), v, cells, binomial(S, t))]
+    while nodes:
+        held, u, cells, weight = nodes.pop()
+        room = 5 - len(held)
+        if room == 0:
+            tallies[classify_pairs(held, spec)] += weight
+            continue
+        if room <= W:
+            tallies[best_completion(held, room, spec)] += \
+                weight * binomial(W, room)
+        if len(cells) == S:  # every suit is told apart: no symmetry is left
+            above = [(x, s) for x in range(u + 1, V + 1)
+                     for s in range(1, S + 1)]
+            for combo in combinations(above, room):
+                tallies[classify_pairs(held + combo, spec)] += weight
+            for k in range(1, min(W, room - 1) + 1):
+                wild_weight = weight * binomial(W, k)
+                for combo in combinations(above, room - k):
+                    tallies[best_completion(held + combo, k, spec)] += \
+                        wild_weight
+            continue
+        for x in range(u + 1, V + 1):
+            for choices, suits, refined in split(cells, room):
+                nodes.append((held + tuple([(x, s) for s in suits]), x,
+                              refined, weight * choices))
     return tallies
 
 
 def tally_all(spec: DeckSpec, workers: int = 1) -> dict:
     """Exact per-category tally over all C(deck size, 5) hands.
 
-    One task per lowest natural value v and number t of suits holding it;
-    a suit permutation that moves those t suits onto 1..t changes no
-    category, so each task enumerates suits 1..t of v and weights by C(S, t).
+    One task per lowest natural value v and number t of suits holding it.
+    A task holds the values above v in ascending order and splits the suits
+    that the held cards do not tell apart value by value, so it classifies
+    one hand per suit-isomorphism class, weighted by the suit choices that
+    the class stands for.
     With workers > 1 whichever pool process is free takes the next task; the
     tasks differ in cost, so no split is planned ahead.  At most
     min(workers, V*min(S, 5), CPU count) processes start; when that is 1 the

@@ -5,7 +5,7 @@ the classifier works from the category definitions via value-count shapes
 and predicate checks, and the trail search is plain backtracking.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from parlorproofs.deck import AceRule, DeckSpec
 from parlorproofs.hands import HandCategory
@@ -115,3 +115,15 @@ def trail_exists_backtracking(edge_pairs) -> bool:
 
     starts = {w for pair in edges for w in pair}
     return any(extend(s, frozenset()) for s in starts)
+
+
+def suit_orbit_count(values: int, suits: int, size: int) -> int:
+    """Number of classes of `size`-card sets of a values x suits deck under
+    the suit relabelings.  Each set, as a sorted tuple of (value, suit)
+    pairs, is counted when it is the least of its S! relabelings."""
+    cards = [(v, s) for v in range(1, values + 1) for s in range(1, suits + 1)]
+    relabelings = list(permutations(range(1, suits + 1)))
+    return sum(
+        all(tuple(sorted([(v, p[s - 1]) for v, s in hand])) >= hand
+            for p in relabelings)
+        for hand in combinations(cards, size))

@@ -302,6 +302,24 @@ class TestProbability:
         assert "6/4165" in text
         assert "0.00144058" in text
 
+    @pytest.mark.parametrize("answer", [probability, combinatorial_proof],
+                             ids=lambda answer: answer.__name__)
+    def test_deck_too_large_to_print_is_refused(self, answer):
+        # Counts of a deck of 10**5000 values have over 20,000 digits, more
+        # than CPython converts to str.
+        with pytest.raises(InputError, match="too large to print"):
+            str(answer(HandCategory.PAIR, DeckSpec(values=10 ** 5000)))
+
+    def test_largest_printable_deck_is_answered(self):
+        # 5 * S cards, just under 2**2800, so every count is below 2**14000.
+        suits = (2 ** 2800 - 1) // 5
+        spec = DeckSpec(values=5, suits=suits)
+        assert str(probability(HandCategory.STRAIGHT, spec))
+        assert combinatorial_proof(HandCategory.STRAIGHT, spec).render_text()
+        with pytest.raises(InputError, match="2801 bits, at most 2800"):
+            probability(HandCategory.STRAIGHT, DeckSpec(values=5,
+                                                        suits=suits + 1))
+
 
 class TestDetermineWinner:
     def test_bond_wins(self):

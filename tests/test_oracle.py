@@ -8,14 +8,14 @@ from itertools import combinations
 import pytest
 
 from parlorproofs import oracle
-from parlorproofs.deck import AceRule, DeckSpec, binomial
+from parlorproofs.deck import AceRule, DeckSpec, STANDARD_DECK, binomial
 from parlorproofs.fixtures import fixture_text
 from parlorproofs.hands import HandCategory, WildCardsUnsupportedError
 from parlorproofs.oracle import (EnumerationCapError, tally_all,
                                  verify_closed_forms)
 
 from independent import (best_over_substitutions, naive_classifier,
-                         natural_pairs)
+                         natural_pairs, suit_orbit_count)
 
 
 def plain_tally(spec):
@@ -64,17 +64,18 @@ class TestTallyAll:
 
     @pytest.mark.parametrize("ace_rule", list(AceRule))
     @pytest.mark.parametrize("shape", [(5, 5, 0), (3, 6, 0), (2, 6, 1),
-                                       (5, 2, 6), (2, 5, 2)],
+                                       (5, 2, 6), (2, 5, 2), (3, 6, 2),
+                                       (4, 5, 1), (2, 6, 3)],
                              ids="v{0[0]}s{0[1]}w{0[2]}".format)
     def test_equals_the_plain_enumeration(self, shape, ace_rule):
         # S = 5 and 6 reach t = 5 suits of the lowest value; W = 6 reaches
-        # the all-wild hands.
+        # the all-wild hands.  The last three split the interchangeable suits
+        # three or more values deep, with wild hands at each depth.
         spec = DeckSpec(*shape, ace_rule=ace_rule)
         assert tally_all(spec) == plain_tally(spec)
 
-    def test_classifies_one_hand_per_suit_choice(self, monkeypatch):
-        # One classifier call per hand holding suits 1..t of its lowest
-        # value v, with 5 - t - k cards drawn from the S*(V - v) above v.
+    @staticmethod
+    def classifier_calls(monkeypatch, spec):
         calls = Counter()
 
         def counting(name, classifier):
@@ -87,15 +88,27 @@ class TestTallyAll:
                             counting("natural", oracle.classify_pairs))
         monkeypatch.setattr(oracle, "best_completion",
                             counting("wild", oracle.best_completion))
+        tallies = tally_all(spec, workers=1)
+        assert sum(tallies.values()) == binomial(spec.size, 5)
+        return calls
+
+    def test_classifies_one_hand_per_suit_choice(self, monkeypatch):
+        # One classifier call per class of natural hands, or of natural
+        # (5 - k)-subsets for k = 1..W wilds, under the suit relabelings.
         V, S, W = 8, 4, 2
-        tallies = tally_all(DeckSpec(V, S, wilds=W), workers=1)
-        tasks = [(v, t) for v in range(1, V + 1) for t in range(1, S + 1)]
+        calls = self.classifier_calls(monkeypatch, DeckSpec(V, S, wilds=W))
         assert calls == {
-            "natural": sum(binomial(S * (V - v), 5 - t) for v, t in tasks),
-            "wild": sum(binomial(S * (V - v), 5 - t - k) for v, t in tasks
-                        for k in range(1, min(W, 5 - t) + 1)),
+            "natural": suit_orbit_count(V, S, 5),
+            "wild": sum(suit_orbit_count(V, S, 5 - k) for k in range(1, W + 1)),
         }
-        assert sum(tallies.values()) == binomial(V * S + W, 5)
+        assert calls == {"natural": 10_808, "wild": 2_662}
+
+    def test_standard_deck_classifies_one_hand_per_suit_class(self, monkeypatch):
+        # The standard deck has 134,459 suit-isomorphism classes of 5-card
+        # hands (K. Waugh, "A Fast and Optimal Hand Isomorphism Algorithm",
+        # 2013).
+        calls = self.classifier_calls(monkeypatch, STANDARD_DECK)
+        assert calls == {"natural": 134_459}
 
     def test_worker_count_does_not_change_results(self):
         for spec in (DeckSpec(values=7, suits=3),
