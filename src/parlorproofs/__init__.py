@@ -6,9 +6,9 @@ from .deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                    parse_card, parse_hand)
 from .errors import InputError
 from .graphs import (DegenerateGraphError, Edge, EulerianStatus,
-                     GraphFormatError, Multigraph, ProofContractError, Trail,
-                     degree_map, eulerian_status, find_trail,
-                     impossibility_proof, odd_vertices, parse_graph)
+                     GraphFormatError, Multigraph, Trail, degree_map,
+                     eulerian_status, find_trail, impossibility_proof,
+                     odd_vertices, parse_graph)
 from .hands import (HandCategory, Probability, WildCardsUnsupportedError,
                     WinnerReport, classify, classify_with_wilds,
                     combinatorial_proof, count_category, determine_winner,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from . import graphs, hands, oracle, rubric
 from .deck import AceRule, DeckSpec
 from .errors import InputError
-from .graphs import EulerianStatus, Trail
+from .graphs import EulerianStatus
 from .hands import HandCategory
 
 EXIT_OK = 0
@@ -42,32 +42,39 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("count", "prob"):
         p = poker_sub.add_parser(name)
+        p.set_defaults(handler=_poker_count)
         add_deck_flags(p)
         p.add_argument("category", nargs="?", metavar="CATEGORY")
         p.add_argument("--all", action="store_true", dest="all_categories")
 
     p = poker_sub.add_parser("winner")
+    p.set_defaults(handler=_poker_winner)
     add_deck_flags(p, wilds=False)
     p.add_argument("entries", nargs="+", metavar="NAME=CATEGORY")
 
     p = poker_sub.add_parser("verify")
+    p.set_defaults(handler=_poker_verify)
     add_deck_flags(p, wilds=False)
     p.add_argument("--workers", type=int, default=1, metavar="N")
     p.add_argument("--csv", action="store_true")
 
     p = poker_sub.add_parser("proof")
+    p.set_defaults(handler=_poker_proof)
     add_deck_flags(p, wilds=False)
     p.add_argument("category", metavar="CATEGORY")
 
     graph = top.add_parser("graph", help="Eulerian trail analysis of graph files")
     graph_sub = graph.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "trail", "proof"):
+    for name, handler in (("analyze", _graph_analyze),
+                          ("trail", _graph_answer), ("proof", _graph_answer)):
         p = graph_sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("file", metavar="FILE")
 
     rub = top.add_parser("rubric", help="score a mark sheet against a rubric")
     rub_sub = rub.add_subparsers(dest="command", required=True)
     p = rub_sub.add_parser("score")
+    p.set_defaults(handler=_rubric_score)
     p.add_argument("rubric_file", metavar="RUBRIC_FILE")
     p.add_argument("marks_file", metavar="MARKS_FILE")
 
@@ -150,8 +157,7 @@ def _parse_file(path: str, parse):
         raise InputError(f"{path}: {exc}")
 
 
-def _graph_status_line(g: graphs.Multigraph) -> str:
-    status = graphs.eulerian_status(g)
+def _graph_status_line(g: graphs.Multigraph, status: EulerianStatus) -> str:
     odd = graphs.odd_vertices(g)
     if status is EulerianStatus.CIRCUIT:
         return "Circuit: every vertex has even degree"
@@ -164,28 +170,21 @@ def _graph_status_line(g: graphs.Multigraph) -> str:
 
 def _graph_analyze(args, out) -> int:
     g = _parse_file(args.file, graphs.parse_graph)
-    print(_graph_status_line(g), file=out)
+    print(_graph_status_line(g, graphs.eulerian_status(g)), file=out)
     return EXIT_OK
 
 
-def _graph_trail(args, out) -> int:
+def _graph_answer(args, out) -> int:
+    """`graph trail` prints a trail and `graph proof` a proof that none
+    exists; when there is no such answer, the status that rules it out."""
     g = _parse_file(args.file, graphs.parse_graph)
-    result = graphs.find_trail(g)
-    if isinstance(result, Trail):
-        print(result.render_text(), file=out)
-        return EXIT_OK
-    print(_graph_status_line(g), file=out)
-    return EXIT_NEGATIVE
-
-
-def _graph_proof(args, out) -> int:
-    g = _parse_file(args.file, graphs.parse_graph)
-    try:
-        doc = graphs.impossibility_proof(g)
-    except graphs.ProofContractError as exc:
-        print(str(exc), file=out)
+    solve = (graphs.find_trail if args.command == "trail"
+             else graphs.impossibility_proof)
+    answer = solve(g)
+    if isinstance(answer, EulerianStatus):
+        print(_graph_status_line(g, answer), file=out)
         return EXIT_NEGATIVE
-    print(doc.render_text(), file=out)
+    print(answer.render_text(), file=out)
     return EXIT_OK
 
 
@@ -196,19 +195,6 @@ def _rubric_score(args, out) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    ("poker", "count"): _poker_count,
-    ("poker", "prob"): _poker_count,
-    ("poker", "winner"): _poker_winner,
-    ("poker", "verify"): _poker_verify,
-    ("poker", "proof"): _poker_proof,
-    ("graph", "analyze"): _graph_analyze,
-    ("graph", "trail"): _graph_trail,
-    ("graph", "proof"): _graph_proof,
-    ("rubric", "score"): _rubric_score,
-}
-
-
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
@@ -217,7 +203,7 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[(args.group, args.command)](args, out)
+        return args.handler(args, out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,10 +24,6 @@ class DegenerateGraphError(InputError):
     """Eulerian analysis needs at least one edge."""
 
 
-class ProofContractError(ValueError):
-    """An impossibility proof was requested for a graph that has a trail."""
-
-
 @dataclass(frozen=True)
 class Edge:
     id: int
@@ -232,14 +228,18 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
 
 def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",
                         edge_noun: str = "edge",
-                        place_name: str = "the graph") -> ProofDocument:
-    """Claim-Proof document that no trail of g contains every edge.
+                        place_name: str = "the graph"
+                        ) -> Union[ProofDocument, EulerianStatus]:
+    """Claim-Proof document that no trail of g contains every edge; or the
+    status, CIRCUIT or OPEN_TRAIL, of a graph that has such a trail.
 
-    Valid when eulerian_status(g) is NO_TRAIL (the parity argument) or
-    DISCONNECTED (the connectivity argument); the step order is claim,
-    model, counts, reduction, lemma, observation, contradiction, qed.
+    The proof is the parity argument when eulerian_status(g) is NO_TRAIL and
+    the connectivity argument when it is DISCONNECTED; the step order is
+    claim, model, counts, reduction, lemma, observation, contradiction, qed.
     """
     status = eulerian_status(g)
+    if status in (EulerianStatus.CIRCUIT, EulerianStatus.OPEN_TRAIL):
+        return status
     if status is EulerianStatus.NO_TRAIL:
         odd = odd_vertices(g)
         argument = (
@@ -257,7 +257,7 @@ def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",
                       f"are odd. Hence no trail contains every edge of G, "
                       f"and no such route exists."),
         )
-    elif status is EulerianStatus.DISCONNECTED:
+    else:  # DISCONNECTED
         firsts = sorted(min(c) for c in _edge_components(g))
         argument = (
             ProofStep(StepKind.LEMMA,
@@ -272,11 +272,6 @@ def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",
                       f"of {len(firsts)} components into one component. "
                       f"Hence no trail contains every edge of G, and no such "
                       f"route exists."),
-        )
-    else:
-        raise ProofContractError(
-            f"graph status is {status.value}; an impossibility proof needs "
-            f"a graph without a trail through every edge"
         )
 
     steps = (

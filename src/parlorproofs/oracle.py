@@ -2,24 +2,24 @@
 enumeration, one hand per suit-isomorphism class.
 
 A suit relabeling changes no category, so one hand per orbit of the suit
-permutations is classified and weighted by its orbit size.  The hands are
-split into tasks (v, t): v is the lowest value among a hand's natural cards
-and t the number of suits in which it holds v.  A task holds v in suits
-1..t, for the C(S, t) choices of those suits, then walks the values above v
-in ascending order.  It carries the cells of suits that the held cards do
-not tell apart, (first suit, size), starting from (1, t) and (t+1, S-t).
+permutations is classified and weighted by its orbit size.  The walk takes
+a hand's natural values in ascending order, starting from its lowest, and
+carries the cells of suits that the held cards do not tell apart, as
+(first suit, size); before any card is held that is the single cell (1, S).
 Holding the next value in the first a suits of a cell of n stands for
-C(n, a) choices, and the cell splits into its taken and untaken suits.
-Once every cell is a single suit no symmetry is left, and the rest of the
-hand is drawn from the cards above.  The standard deck classifies 134,459
-hands instead of 2,598,960.
+C(n, a) choices, and the cell splits into its taken and untaken suits.  The
+lowest value is split like every other: held in suits 1..t, for C(S, t)
+choices.  Once every cell is a single suit no symmetry is left, and the
+rest of the hand is drawn from the cards above.  The standard deck
+classifies 134,459 hands instead of 2,598,960.
 A hand holding k of the W wilds is a natural (5-k)-subset met on that walk
 together with any of C(W, k) wild k-subsets, so it is weighted by C(W, k) as
 well; the C(W, 5) all-wild hands are added once.  Natural hands are
 classified by `hands.classify_pairs`, the classifier behind `classify`, and
 wild hands by `hands.best_completion`.  Every weight counts suit choices and
 wild subsets, never a closed form.
-In a process pool each task is taken by whichever worker is free.
+In one process a single task walks every lowest value; in a process pool
+each lowest value is a task, taken by whichever worker is free.
 The tallies check the closed forms in `hands`; the classifiers themselves
 are checked by `tests/independent.py` and `bench/reference.py`, which share
 no code with the library.
@@ -42,9 +42,9 @@ class EnumerationCapError(InputError):
     """The deck's hand count exceeds ENUMERATION_CAP."""
 
 
-def _tally_task(spec: DeckSpec, v: int, t: int) -> dict:
-    """Tally the hands whose lowest natural value v is held in t suits, one
-    hand per orbit of the suit permutations that fix the held cards."""
+def _tally_task(spec: DeckSpec, lowest: range) -> dict:
+    """Tally the hands whose lowest natural value is in `lowest`, one hand
+    per orbit of the suit permutations that fix the held cards."""
     V, S, W = spec.values, spec.suits, spec.wilds
     tallies = dict.fromkeys(HandCategory, 0)
     splits = {}
@@ -69,8 +69,9 @@ def _tally_task(spec: DeckSpec, v: int, t: int) -> dict:
     # Each node holds some cards, the highest of value u, and the cells of
     # the suits that those cards do not tell apart; its weight counts the
     # suit choices that it stands for.
-    cells = tuple((first, n) for first, n in ((1, t), (t + 1, S - t)) if n)
-    nodes = [(tuple((v, s) for s in range(1, t + 1)), v, cells, binomial(S, t))]
+    nodes = [(tuple([(v, s) for s in suits]), v, refined, choices)
+             for v in lowest
+             for choices, suits, refined in split(((1, S),), 5)]
     while nodes:
         held, u, cells, weight = nodes.pop()
         room = 5 - len(held)
@@ -101,16 +102,15 @@ def _tally_task(spec: DeckSpec, v: int, t: int) -> dict:
 def tally_all(spec: DeckSpec, workers: int = 1) -> dict:
     """Exact per-category tally over all C(deck size, 5) hands.
 
-    One task per lowest natural value v and number t of suits holding it.
-    A task holds the values above v in ascending order and splits the suits
-    that the held cards do not tell apart value by value, so it classifies
-    one hand per suit-isomorphism class, weighted by the suit choices that
-    the class stands for.
-    With workers > 1 whichever pool process is free takes the next task; the
-    tasks differ in cost, so no split is planned ahead.  At most
-    min(workers, V*min(S, 5), CPU count) processes start; when that is 1 the
-    enumeration runs in this process.  Results are bit-identical for any
-    worker count.
+    The hands are walked value by value from their lowest natural value,
+    splitting the suits that the held cards do not tell apart, so one hand
+    per suit-isomorphism class is classified, weighted by the suit choices
+    that the class stands for.
+    With workers > 1 each lowest natural value is one task, and whichever
+    pool process is free takes the next; the tasks differ in cost, so no
+    split is planned ahead.  At most min(workers, V, CPU count) processes
+    start; when that is 1 one task walks every value in this process.
+    Results are bit-identical for any worker count.
     """
     total = binomial(spec.size, 5)
     if total > ENUMERATION_CAP:
@@ -119,18 +119,17 @@ def tally_all(spec: DeckSpec, workers: int = 1) -> dict:
             f"{ENUMERATION_CAP}"
         )
 
-    tasks = [(v, t) for v in range(1, spec.values + 1)
-             for t in range(1, min(spec.suits, 5) + 1)]
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    values = range(1, spec.values + 1)
+    processes = min(workers, len(values), os.cpu_count() or 1)
     tallies = dict.fromkeys(HandCategory, 0)
     if processes <= 1:
-        parts = [_tally_task(spec, v, t) for v, t in tasks]
+        parts = [_tally_task(spec, values)]
     else:
         # Imported here, so that a run without a pool never pays for it.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_tally_task, [spec] * len(tasks),
-                                  *zip(*tasks)))
+            parts = list(pool.map(_tally_task, [spec] * len(values),
+                                  [range(v, v + 1) for v in values]))
     for part in parts:
         for cat, count in part.items():
             tallies[cat] += count

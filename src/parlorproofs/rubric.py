@@ -88,13 +88,6 @@ class Trait:
     name: str
     levels: tuple  # descriptions for levels 1..5
 
-    def __post_init__(self) -> None:
-        if len(self.levels) != 5:
-            raise RubricFormatError(
-                f"trait {self.name!r} needs 5 level descriptions, "
-                f"got {len(self.levels)}"
-            )
-
 
 @dataclass(frozen=True)
 class TraitRubric:

@@ -198,6 +198,79 @@ class TestGraphCommands:
         assert code == 2
 
 
+GRAPHS = {
+    "circuit": "vertex A\nvertex B\nvertex C\nedge A B\nedge B C\nedge C A\n",
+    "open-trail": "vertex A\nvertex B\nvertex C\nedge A B\nedge B C\n",
+    "konigsberg": fixture_text("konigsberg.graph"),
+    "two-triangles": "vertex A\nvertex B\nvertex C\n"
+                     "vertex D\nvertex E\nvertex F\n"
+                     "edge A B\nedge B C\nedge C A\n"
+                     "edge D E\nedge E F\nedge F D\n",
+}
+
+
+def proof_text(counts, argument):
+    return "\n".join([
+        "No complete route through the graph",
+        "===================================",
+        "",
+        "Claim. There is no route through the graph that uses every edge "
+        "exactly once.",
+        "",
+        "Proof.",
+        "  Represent the graph with a graph G: draw a vertex for each vertex "
+        "and an edge for each edge.",
+        f"  G consists of {counts}.",
+        "  It suffices to prove that no trail in G contains every edge of G.",
+    ] + [f"  {line}" for line in argument] + ["∎", "", ""])
+
+
+KONIGSBERG_PROOF = proof_text("4 vertices and 7 edges", [
+    "Except possibly for its beginning and ending vertices, every vertex of "
+    "a trail T touches an even number of edges of T, because each middle "
+    "vertex is entered by one edge and exited by another.",
+    "However, G has 4 vertices of odd degree: A, B, C, D.",
+    "A trail containing every edge of G would leave at most two vertices of "
+    "odd degree, yet 4 > 2 are odd. Hence no trail contains every edge of G, "
+    "and no such route exists.",
+])
+
+TRIANGLES_PROOF = proof_text("6 vertices and 6 edges", [
+    "Consecutive edges of a trail T share a vertex, so all edges of T lie in "
+    "one connected component of G.",
+    "However, the edges of G lie in 2 connected components, one containing "
+    "each of A, D.",
+    "A trail containing every edge of G would put edges of 2 components into "
+    "one component. Hence no trail contains every edge of G, and no such "
+    "route exists.",
+])
+
+
+# A graph command prints its answer and exits 0, or prints the status line
+# of `graph analyze` that rules the answer out and exits 1.
+GRAPH_ANSWERS = [
+    ("trail", "circuit", 0, "A -> B -> C -> A\n"),
+    ("trail", "open-trail", 0, "A -> B -> C\n"),
+    ("trail", "konigsberg", 1, "NoTrail: 4 vertices of odd degree\n"),
+    ("trail", "two-triangles", 1,
+     "Disconnected: edges span more than one component\n"),
+    ("proof", "circuit", 1, "Circuit: every vertex has even degree\n"),
+    ("proof", "open-trail", 1, "OpenTrail: odd-degree vertices A and C\n"),
+    ("proof", "konigsberg", 0, KONIGSBERG_PROOF),
+    ("proof", "two-triangles", 0, TRIANGLES_PROOF),
+]
+
+
+@pytest.mark.parametrize("command, graph, code, stdout", GRAPH_ANSWERS,
+                         ids=[f"{c}-{g}" for c, g, _, _ in GRAPH_ANSWERS])
+def test_graph_answer_or_status(command, graph, code, stdout, tmp_path,
+                                capsys):
+    path = tmp_path / f"{graph}.graph"
+    path.write_text(GRAPHS[graph])
+    assert invoke("graph", command, str(path)) == (code, stdout)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["graph analyze", "graph trail",
                                      "graph proof", "rubric score"])
 def test_non_utf8_file_is_a_usage_error(command, tmp_path, capsys):

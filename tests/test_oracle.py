@@ -138,7 +138,7 @@ class TestTallyAll:
         # A fixed CPU count keeps the expected pool sizes machine-independent.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for spec, pools in ((DeckSpec(values=6, suits=3, wilds=2), [3]),
-                            (DeckSpec(values=1, suits=2, wilds=3), [2]),
+                            (DeckSpec(values=2, suits=2, wilds=3), [2]),
                             (DeckSpec(values=1, suits=1, wilds=4), [])):
             requested.clear()
             one = tally_all(spec, workers=1)
