@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import InputError, parse_digits, render_int
 
@@ -21,7 +21,8 @@ class InvalidDeckError(InputError):
 
 
 class CardParseError(InputError):
-    """A card token could not be parsed for the given deck."""
+    """A card token could not be parsed, or the deck does not hold the
+    card."""
 
 
 class AceRule(Enum):
@@ -74,10 +75,7 @@ class Card:
 
     value: int
     suit: int
-
-    @property
-    def is_wild(self) -> bool:
-        return False
+    is_wild = False
 
 
 @dataclass(frozen=True, order=True)
@@ -85,10 +83,7 @@ class Wild:
     """A wild card, distinguishable from its siblings only by index."""
 
     index: int
-
-    @property
-    def is_wild(self) -> bool:
-        return True
+    is_wild = True
 
 
 AnyCard = Union[Card, Wild]
@@ -135,44 +130,34 @@ def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> AnyCard:
     if not token:
         raise CardParseError("empty card token")
 
-    m = _WILD_RE.match(token)
-    if m:
-        index = parse_digits(m.group(1), CardParseError, "wild index")
-        if not 1 <= index <= spec.wilds:
+    if m := _WILD_RE.match(token):
+        card = Wild(parse_digits(m.group(1), CardParseError, "wild index"))
+    elif m := _GENERIC_RE.match(token):
+        card = Card(parse_digits(m.group(1), CardParseError, "card value"),
+                    parse_digits(m.group(2), CardParseError, "card suit"))
+    elif m := _STANDARD_RE.match(token):
+        card = Card(_STANDARD_VALUES[m.group(1).upper()],
+                    _STANDARD_SUITS[m.group(2).upper()])
+    else:
+        raise CardParseError(f"unrecognized card token {token!r}")
+    check_cards((card,), spec)
+    return card
+
+
+def check_cards(cards: Iterable, spec: DeckSpec) -> None:
+    """Raise CardParseError unless the deck holds every card."""
+    for card in cards:
+        if card.is_wild:
+            if not 1 <= card.index <= spec.wilds:
+                raise CardParseError(
+                    f"wild index {render_int(card.index)} not legal for a "
+                    f"deck with {render_int(spec.wilds)} wilds")
+        elif not (1 <= card.value <= spec.values and 1 <= card.suit <= spec.suits):
             raise CardParseError(
-                f"wild index {index} out of range for a deck with "
-                f"{render_int(spec.wilds)} wilds"
-            )
-        return Wild(index)
-
-    m = _GENERIC_RE.match(token)
-    if m:
-        value = parse_digits(m.group(1), CardParseError, "card value")
-        suit = parse_digits(m.group(2), CardParseError, "card suit")
-        _check_range(token, value, suit, spec)
-        return Card(value, suit)
-
-    m = _STANDARD_RE.match(token)
-    if m:
-        value = _STANDARD_VALUES[m.group(1).upper()]
-        suit = _STANDARD_SUITS[m.group(2).upper()]
-        _check_range(token, value, suit, spec)
-        return Card(value, suit)
-
-    raise CardParseError(f"unrecognized card token {token!r}")
-
-
-def _check_range(token: str, value: int, suit: int, spec: DeckSpec) -> None:
-    if not 1 <= value <= spec.values:
-        raise CardParseError(
-            f"card {token!r}: value {value} out of range "
-            f"1..{render_int(spec.values)}"
-        )
-    if not 1 <= suit <= spec.suits:
-        raise CardParseError(
-            f"card {token!r}: suit {suit} out of range "
-            f"1..{render_int(spec.suits)}"
-        )
+                f"card of value {render_int(card.value)} and suit "
+                f"{render_int(card.suit)} not legal for a deck of "
+                f"{render_int(spec.values)} values x "
+                f"{render_int(spec.suits)} suits")
 
 
 def parse_hand(text: str, spec: DeckSpec = STANDARD_DECK) -> Hand:

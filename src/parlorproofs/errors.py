@@ -1,18 +1,30 @@
-"""The one declared error for rejected input, the bound on the numbers
-that input may spell out, and how error messages print any number."""
+"""What every text input shares: the one declared error for rejected
+input, the line rule of the text formats (`#` comments, blank lines,
+lines counted from 1), the bound on the numbers that input may spell out,
+and how error messages print any number."""
 
 import math
+from typing import Iterator
 
 # CPython converts no int of more than 4,300 decimal digits to or from str,
 # and the conversion time grows with the square of the length.  Numbers in
-# card tokens and rubric lines stay far below that, so that sums and
-# products of them still print.
+# card tokens, rubric lines and mark sheets stay far below that, so that
+# sums and products of them still print.
 MAX_DIGITS = 1000
 
 
 class InputError(ValueError):
     """Input was rejected: a deck, card, category, graph, rubric or mark
     sheet that the library cannot answer for (the CLI exits 2)."""
+
+
+def content_lines(text: str) -> Iterator[tuple]:
+    """(line number, line) for each line of `text` that is not blank once
+    its `#` comment is cut off and it is stripped; lines count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
 
 
 def parse_digits(digits: str, error: type, context: str) -> int:

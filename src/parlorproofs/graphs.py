@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
-from .errors import InputError
+from .errors import InputError, content_lines
 from .proofdoc import ProofDocument, ProofStep, StepKind
 
 OUTSIDE = "outside"
@@ -66,10 +66,7 @@ def parse_graph(text: str) -> Multigraph:
     """
     vertices: set = set()
     edges: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         parts = line.split()
         keyword = parts[0].lower()
         if keyword == "vertex":

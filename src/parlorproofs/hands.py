@@ -12,8 +12,8 @@ from enum import IntEnum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .deck import AceRule, DeckSpec, Hand, binomial
-from .errors import InputError, render_int
+from .deck import AceRule, DeckSpec, Hand, binomial, check_cards
+from .errors import InputError
 from .proofdoc import ProofDocument, ProofStep, StepKind
 
 
@@ -118,21 +118,6 @@ def classify_pairs(pairs: Sequence, spec: DeckSpec) -> HandCategory:
     return HandCategory.FOUR_OF_A_KIND  # five copies of one value
 
 
-def _check_cards(hand: Hand, spec: DeckSpec) -> None:
-    for card in hand.cards:
-        if card.is_wild:
-            if not 1 <= card.index <= spec.wilds:
-                raise InputError(
-                    f"wild index {render_int(card.index)} not legal for a "
-                    f"deck with {render_int(spec.wilds)} wilds")
-        elif not (1 <= card.value <= spec.values and 1 <= card.suit <= spec.suits):
-            raise InputError(
-                f"card of value {render_int(card.value)} and suit "
-                f"{render_int(card.suit)} not legal for a deck of "
-                f"{render_int(spec.values)} values x "
-                f"{render_int(spec.suits)} suits")
-
-
 def _pairs(cards: Iterable) -> list:
     return [(c.value, c.suit) for c in cards]
 
@@ -141,7 +126,7 @@ def classify(hand: Hand, spec: DeckSpec) -> HandCategory:
     """The unique highest-precedence category a wild-free hand satisfies."""
     if hand.wilds:
         raise WildInHandError("hand contains wilds; use classify_with_wilds")
-    _check_cards(hand, spec)
+    check_cards(hand.cards, spec)
     return classify_pairs(_pairs(hand.cards), spec)
 
 
@@ -203,7 +188,7 @@ def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:
     a card's value and suit is legal.  Five cards of one value count as
     FOUR_OF_A_KIND, the strongest category of the ten that they satisfy.
     """
-    _check_cards(hand, spec)
+    check_cards(hand.cards, spec)
     naturals = _pairs(hand.naturals)
     n_wilds = len(hand.wilds)
     if n_wilds == 0:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
-from .errors import InputError, parse_digits
+from .errors import InputError, content_lines, parse_digits
 
 
 class RubricFormatError(InputError):
@@ -24,16 +24,18 @@ class MarkSheetError(InputError):
 
 
 def _parse_half_points(token: str, context: str) -> int:
-    """Parse a value with 0.5 granularity into half-points."""
-    try:
-        doubled = Fraction(token) * 2
-    except ValueError:
-        raise MarkSheetError(f"{context}: not a number: {token!r}") from None
-    if doubled.denominator != 1:
+    """Parse a value with 0.5 granularity, a run of digits and dots, into
+    half-points; its digits obey MAX_DIGITS."""
+    whole, _, tail = token.partition(".")
+    if not whole + tail or "." in tail:
+        raise MarkSheetError(f"{context}: not a number: {token!r}")
+    value = parse_digits(whole + tail, MarkSheetError, context)
+    doubled, rest = divmod(2 * value, 10 ** len(tail))
+    if rest:
         raise MarkSheetError(
             f"{context}: values are limited to 0.5 granularity, got {token}"
         )
-    return doubled.numerator
+    return doubled
 
 
 def _render_half_points(hp: int) -> str:
@@ -118,28 +120,25 @@ _LEVEL_RE = re.compile(r'^level\s+([1-5])\s+"([^"]+)"$')
 def load_rubric(text: str) -> Rubric:
     """Parse rubric text into a PointRubric or TraitRubric; the point
     rubric's declared maximum is validated against the criteria."""
-    lines = [(n, raw.split("#", 1)[0].strip())
-             for n, raw in enumerate(text.splitlines(), start=1)]
-    lines = [(n, line) for n, line in lines if line]
-    if not lines:
+    lines = content_lines(text)
+    first_no, first = next(lines, (None, None))
+    if first is None:
         raise RubricFormatError("empty rubric text")
-
-    first_no, first = lines[0]
     m = _POINT_HEADER_RE.match(first)
     if m:
         maximum = parse_digits(m.group(2), RubricFormatError,
                                f"line {first_no}")
-        return _load_point(m.group(1), maximum, lines[1:])
+        return _load_point(m.group(1), maximum, lines)
     m = _TRAIT_HEADER_RE.match(first)
     if m:
-        return _load_trait(m.group(1), lines[1:])
+        return _load_trait(m.group(1), lines)
     raise RubricFormatError(
         f"line {first_no}: expected 'rubric point <name> max=<int>' or "
         f"'rubric trait <name>'"
     )
 
 
-def _load_point(name: str, maximum: int, lines: list) -> PointRubric:
+def _load_point(name: str, maximum: int, lines: Iterator) -> PointRubric:
     sections: list = []
     current: list = []
     current_name = None
@@ -167,7 +166,7 @@ def _load_point(name: str, maximum: int, lines: list) -> PointRubric:
     return PointRubric(name, maximum, tuple(sections))
 
 
-def _load_trait(name: str, lines: list) -> TraitRubric:
+def _load_trait(name: str, lines: Iterator) -> TraitRubric:
     traits: list = []
     current_name = None
     levels: dict = {}
@@ -217,10 +216,7 @@ class MarkSheet:
 def parse_marks(text: str) -> MarkSheet:
     awards: list = []
     levels: list = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         m = _AWARD_RE.match(line)
         if m:
             awards.append((m.group(1),
@@ -273,23 +269,38 @@ def score(rubric: Rubric, marks: MarkSheet) -> ScoreReport:
     return _score_trait(rubric, marks)
 
 
+def _one_mark_each(names: list, marks: tuple, what: str,
+                   unknown: str) -> dict:
+    """{name: mark} when the sheet marks each of the rubric's `names`
+    exactly once; otherwise MarkSheetError for a duplicate, a missing or
+    unknown names, worded with `what` and `unknown`."""
+    given: dict = {}
+    for name, mark in marks:
+        if name in given:
+            raise MarkSheetError(f"duplicate {what} {name!r}")
+        given[name] = mark
+    for name in names:
+        if name not in given:
+            raise MarkSheetError(f"missing {what} {name!r}")
+    known = set(names)
+    extra = ", ".join(repr(n) for n in given if n not in known)
+    if extra:
+        raise MarkSheetError(f"{unknown}: {extra}")
+    return given
+
+
 def _score_point(rubric: PointRubric, marks: MarkSheet) -> ScoreReport:
     if marks.levels:
         raise MarkSheetError("trait levels given for a point rubric")
-    awarded: dict = {}
-    for description, hp in marks.awards_hp:
-        if description in awarded:
-            raise MarkSheetError(f"duplicate award for {description!r}")
-        awarded[description] = hp
-
+    awarded = _one_mark_each(
+        [c.description for s in rubric.sections for c in s.criteria],
+        marks.awards_hp, "award for", "awards for unknown criteria")
     rows = []
     total = 0
     for section in rubric.sections:
         subtotal = 0
         for criterion in section.criteria:
-            if criterion.description not in awarded:
-                raise MarkSheetError(f"missing award for {criterion.description!r}")
-            hp = awarded.pop(criterion.description)
+            hp = awarded[criterion.description]
             if not 0 <= hp <= 2 * criterion.points:
                 raise MarkSheetError(
                     f"award {_render_half_points(hp)} for "
@@ -300,32 +311,20 @@ def _score_point(rubric: PointRubric, marks: MarkSheet) -> ScoreReport:
             section.name, subtotal,
             2 * sum(c.weighted_points for c in section.criteria)))
         total += subtotal
-    if awarded:
-        extra = ", ".join(repr(d) for d in awarded)
-        raise MarkSheetError(f"awards for unknown criteria: {extra}")
     return ScoreReport(tuple(rows), total, 2 * rubric.maximum)
 
 
 def _score_trait(rubric: TraitRubric, marks: MarkSheet) -> ScoreReport:
     if marks.awards_hp:
         raise MarkSheetError("point awards given for a trait rubric")
-    by_trait: dict = {}
-    for name, level in marks.levels:
-        if name in by_trait:
-            raise MarkSheetError(f"duplicate level for trait {name!r}")
-        by_trait[name] = level
-
+    by_trait = _one_mark_each([t.name for t in rubric.traits], marks.levels,
+                              "level for trait", "levels for unknown traits")
     rows = []
     total = 0
     for trait in rubric.traits:
-        if trait.name not in by_trait:
-            raise MarkSheetError(f"missing level for trait {trait.name!r}")
-        level = by_trait.pop(trait.name)
+        level = by_trait[trait.name]
         if not 1 <= level <= 5:
             raise MarkSheetError(f"level {level} for {trait.name!r} outside 1..5")
         rows.append(ScoreRow(trait.name, 2 * level, 10))
         total += 2 * level
-    if by_trait:
-        extra = ", ".join(repr(t) for t in by_trait)
-        raise MarkSheetError(f"levels for unknown traits: {extra}")
     return ScoreReport(tuple(rows), total, 2 * rubric.maximum)

@@ -7,8 +7,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parlorproofs.deck import (AceRule, Card, DeckSpec, Hand, STANDARD_DECK,
-                               Wild, binomial, parse_hand)
+from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
+                               STANDARD_DECK, Wild, binomial, parse_hand)
 from parlorproofs.errors import InputError
 from parlorproofs.hands import (HandCategory, WildCardsUnsupportedError,
                                 WildInHandError, _run_count, classify,
@@ -216,6 +216,19 @@ class TestClassifyWithWilds:
     def test_cards_outside_the_deck_rejected(self, cards):
         with pytest.raises(ValueError, match="not legal"):
             classify_with_wilds(Hand(frozenset(cards)), self.SPEC)
+
+    @pytest.mark.parametrize("classifier, card", [
+        (classify, Card(14, 1)),
+        (classify_with_wilds, Card(1, 5)),
+        (classify_with_wilds, Wild(2)),
+    ], ids=["classify", "with-wilds", "wild"])
+    def test_card_outside_the_deck_is_a_card_parse_error(self, classifier,
+                                                         card):
+        # The deck check is parse_card's, so is the error class.
+        hand = Hand(frozenset({card, Card(1, 1), Card(2, 1), Card(3, 1),
+                               Card(4, 1)}))
+        with pytest.raises(CardParseError, match="not legal"):
+            classifier(hand, self.SPEC)
 
     @pytest.mark.parametrize("cards", [
         {Card(0, 1), Card(1, 1), Card(2, 1), Card(3, 1), Card(4, 1)},

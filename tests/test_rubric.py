@@ -189,6 +189,39 @@ class TestScoreTraitRubric:
             score(rubric, marks)
 
 
+def _edited(pairs, drop=(), add=()):
+    return tuple(p for p in pairs if p[0] not in drop) + tuple(add)
+
+
+@pytest.mark.parametrize("trait, drop, add, message", [
+    (False, (), [("Restate the problem", 2)],
+     "duplicate award for 'Restate the problem'"),
+    (False, ["Restate the problem"], (),
+     "missing award for 'Restate the problem'"),
+    (False, (), [("Imaginary", 2), ("Other", 1)],
+     "awards for unknown criteria: 'Imaginary', 'Other'"),
+    (True, (), [("Reasoning (proof)", 3)],
+     "duplicate level for trait 'Reasoning (proof)'"),
+    (True, ["Reasoning (proof)"], (),
+     "missing level for trait 'Reasoning (proof)'"),
+    (True, (), [("Style", 3), ("Tone", 2)],
+     "levels for unknown traits: 'Style', 'Tone'"),
+    # A missing name is reported before an earlier item's range error.
+    (True, ["Assignment Requirements", "Quality of Details"],
+     [("Assignment Requirements", 7)],
+     "missing level for trait 'Quality of Details'"),
+], ids=["point-duplicate", "point-missing", "point-unknown",
+        "trait-duplicate", "trait-missing", "trait-unknown", "trait-order"])
+def test_each_item_is_marked_exactly_once(trait, drop, add, message):
+    rubric = writing_rubric() if trait else poker_rubric()
+    full = full_marks(rubric)
+    marks = (MarkSheet((), _edited(full.levels, drop, add)) if trait
+             else MarkSheet(_edited(full.awards_hp, drop, add), ()))
+    with pytest.raises(MarkSheetError) as caught:
+        score(rubric, marks)
+    assert str(caught.value) == message
+
+
 class TestParseMarks:
     def test_award_and_level_lines(self):
         sheet = parse_marks('award "Restate the problem" 4.5\n'
@@ -210,6 +243,17 @@ class TestParseMarks:
         assert sheet.awards_hp == (("x", 18014398509481986),)
         sheet = parse_marks('award "x" 9007199254740993.5\n')
         assert sheet.awards_hp == (("x", 18014398509481987),)
+
+    @pytest.mark.parametrize("token", [
+        "0" * MAX_DIGITS + "1", "1" * 4300, "1" * 600 + "." + "5" * 401,
+    ], ids=["padded", "past-int-limit", "fraction"])
+    def test_overlong_awards_rejected(self, token):
+        with pytest.raises(MarkSheetError, match="digits exceeds the limit"):
+            parse_marks(f'award "x" {token}\n')
+
+    def test_awards_up_to_the_digit_limit_parse(self):
+        sheet = parse_marks(f'award "x" {"0" * (MAX_DIGITS - 2)}7.5\n')
+        assert sheet.awards_hp == (("x", 15),)
 
     @pytest.mark.parametrize("token", [".", "1.2.3"])
     def test_malformed_numbers_rejected(self, token):

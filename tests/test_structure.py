@@ -1,5 +1,5 @@
 """Guards on the shape of the library: its source, checked with `ast`, its
-public names and its error classes."""
+public names, its error classes and the line rule its text formats share."""
 
 import ast
 import importlib
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import parlorproofs
-from parlorproofs import InputError
+from parlorproofs import InputError, load_rubric, parse_graph, parse_marks
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parlorproofs"
 MODULES = sorted(SRC.glob("*.py"))
@@ -65,6 +65,30 @@ def test_no_lru_cache(path):
                 else node.name if isinstance(node, ast.alias)
                 else None)
         assert name != "lru_cache", f"{path.name}:{node.lineno} uses lru_cache"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "errors.py"],
+    ids=lambda p: p.name)
+def test_only_errors_splits_lines(path):
+    # The text formats read lines through errors.content_lines, the one
+    # place that cuts comments, skips blank lines and counts lines.
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "splitlines", \
+                f"{path.name}:{node.lineno} calls splitlines"
+
+
+@pytest.mark.parametrize("parse, good", [
+    (parse_graph, "vertex A"),
+    (load_rubric, "rubric trait T"),
+    (parse_marks, 'award "c" 1'),
+], ids=["graph", "rubric", "marks"])
+def test_text_formats_share_the_line_rule(parse, good):
+    head = f"# heading\n\n  \t\n{good}  # note\n"
+    parse(head)
+    with pytest.raises(InputError, match=r"^line 5: .* 'bogus'$"):
+        parse(head + "bogus  # note\n")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
