@@ -3,6 +3,7 @@
 All logic lives in the library modules; the CLI only parses arguments,
 formats output, and maps results to exit codes: 0 for success, 1 for a
 well-formed negative answer, 2 for usage errors and for any `InputError`.
+Each handler imports the modules it uses, so a command loads no others.
 """
 
 from __future__ import annotations
@@ -11,11 +12,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import graphs, hands, oracle, rubric
-from .deck import AceRule, DeckSpec
-from .errors import InputError
-from .graphs import EulerianStatus
-from .hands import HandCategory
+from .errors import InputError, quote
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -81,7 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _deck_spec(args) -> DeckSpec:
+def _deck_spec(args):
+    from . import hands
+    from .deck import AceRule, DeckSpec
     ace = AceRule.BOTH if args.ace == "both" else AceRule.HIGH_ONLY
     spec = DeckSpec(values=args.values, suits=args.suits,
                     wilds=getattr(args, "wilds", 0), ace_rule=ace)
@@ -90,12 +89,13 @@ def _deck_spec(args) -> DeckSpec:
 
 
 def _poker_count(args, out) -> int:
+    from . import hands
     spec = _deck_spec(args)
     want_prob = args.command == "prob"
     if args.all_categories:
-        categories = list(HandCategory)
+        categories = list(hands.HandCategory)
     elif args.category:
-        categories = [HandCategory.from_slug(args.category)]
+        categories = [hands.HandCategory.from_slug(args.category)]
     else:
         raise InputError("give a CATEGORY or --all")
     for cat in categories:
@@ -108,13 +108,14 @@ def _poker_count(args, out) -> int:
 
 
 def _poker_winner(args, out) -> int:
+    from . import hands
     spec = _deck_spec(args)
     entries = []
     for item in args.entries:
         name, sep, slug = item.partition("=")
         if not (name and sep):
-            raise InputError(f"expected NAME=CATEGORY, got {item!r}")
-        entries.append((name, HandCategory.from_slug(slug)))
+            raise InputError(f"expected NAME=CATEGORY, got {quote(item)}")
+        entries.append((name, hands.HandCategory.from_slug(slug)))
     report = hands.determine_winner(entries, spec)
     for name, cat in report.excluded:
         print(f"excluded: {name} ({cat.slug} is impossible in this deck)",
@@ -131,6 +132,7 @@ def _poker_winner(args, out) -> int:
 
 
 def _poker_verify(args, out) -> int:
+    from . import oracle
     spec = _deck_spec(args)
     if args.workers < 1:
         raise InputError(f"--workers must be >= 1, got {args.workers}")
@@ -140,8 +142,10 @@ def _poker_verify(args, out) -> int:
 
 
 def _poker_proof(args, out) -> int:
+    from . import hands
     spec = _deck_spec(args)
-    doc = hands.combinatorial_proof(HandCategory.from_slug(args.category), spec)
+    category = hands.HandCategory.from_slug(args.category)
+    doc = hands.combinatorial_proof(category, spec)
     print(doc.render_text(), file=out)
     return EXIT_OK
 
@@ -157,8 +161,9 @@ def _parse_file(path: str, parse):
         raise InputError(f"{path}: {exc}")
 
 
-def _graph_status_line(g: graphs.Multigraph, status: EulerianStatus) -> str:
-    odd = graphs.odd_vertices(g)
+def _graph_status_line(g, status) -> str:
+    from .graphs import EulerianStatus, odd_vertices
+    odd = odd_vertices(g)
     if status is EulerianStatus.CIRCUIT:
         return "Circuit: every vertex has even degree"
     if status is EulerianStatus.OPEN_TRAIL:
@@ -169,6 +174,7 @@ def _graph_status_line(g: graphs.Multigraph, status: EulerianStatus) -> str:
 
 
 def _graph_analyze(args, out) -> int:
+    from . import graphs
     g = _parse_file(args.file, graphs.parse_graph)
     print(_graph_status_line(g, graphs.eulerian_status(g)), file=out)
     return EXIT_OK
@@ -177,11 +183,12 @@ def _graph_analyze(args, out) -> int:
 def _graph_answer(args, out) -> int:
     """`graph trail` prints a trail and `graph proof` a proof that none
     exists; when there is no such answer, the status that rules it out."""
+    from . import graphs
     g = _parse_file(args.file, graphs.parse_graph)
     solve = (graphs.find_trail if args.command == "trail"
              else graphs.impossibility_proof)
     answer = solve(g)
-    if isinstance(answer, EulerianStatus):
+    if isinstance(answer, graphs.EulerianStatus):
         print(_graph_status_line(g, answer), file=out)
         return EXIT_NEGATIVE
     print(answer.render_text(), file=out)
@@ -189,6 +196,7 @@ def _graph_answer(args, out) -> int:
 
 
 def _rubric_score(args, out) -> int:
+    from . import rubric
     loaded = _parse_file(args.rubric_file, rubric.load_rubric)
     marks = _parse_file(args.marks_file, rubric.parse_marks)
     print(rubric.score(loaded, marks).render_text(), file=out)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import total_ordering
 from typing import Iterable, Union
 
-from .errors import InputError, parse_digits, render_int
+from .errors import InputError, parse_digits, quote, render_int
 
 
 class InvalidDeckError(InputError):
@@ -32,33 +32,76 @@ class AceRule(Enum):
     HIGH_ONLY = "high_only"
 
 
-@dataclass(frozen=True)
-class DeckSpec:
+_set = object.__setattr__  # fills a slot past the refusing __setattr__ below
+
+
+class _Value:
+    """Immutable fields named in __slots__: equal and hashed by their
+    values, against the same class only, and shown as Name(field=...)."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+@total_ordering
+class _Ordered(_Value):
+    """A _Value that sorts by its fields, in __slots__ order."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() < other._key()
+
+
+class DeckSpec(_Value):
     """Parameters of a generalized deck: V values x S suits plus W wilds."""
 
-    values: int = 13
-    suits: int = 4
-    wilds: int = 0
-    ace_rule: AceRule = AceRule.BOTH
+    __slots__ = ("values", "suits", "wilds", "ace_rule")
 
-    def __post_init__(self) -> None:
-        for name in ("values", "suits", "wilds"):
-            value = getattr(self, name)
+    def __init__(self, values: int = 13, suits: int = 4, wilds: int = 0,
+                 ace_rule: AceRule = AceRule.BOTH) -> None:
+        for name, value, least in zip(self.__slots__, (values, suits, wilds),
+                                      (1, 1, 0)):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidDeckError(f"{name} must be an int, got {value!r}")
-        if self.values < 1:
+                raise InvalidDeckError(
+                    f"{name} must be an int, got {quote(value)}")
+            if value < least:
+                raise InvalidDeckError(
+                    f"{name} must be >= {least}, got {render_int(value)}")
+            _set(self, name, value)
+        if not isinstance(ace_rule, AceRule):
             raise InvalidDeckError(
-                f"values must be >= 1, got {render_int(self.values)}")
-        if self.suits < 1:
-            raise InvalidDeckError(
-                f"suits must be >= 1, got {render_int(self.suits)}")
-        if self.wilds < 0:
-            raise InvalidDeckError(
-                f"wilds must be >= 0, got {render_int(self.wilds)}")
+                f"ace_rule must be an AceRule, got {quote(ace_rule)}")
+        _set(self, "ace_rule", ace_rule)
         if self.size < 5:
             raise InvalidDeckError(
                 f"deck must hold at least 5 cards for a hand; "
-                f"{self.values}*{self.suits}+{self.wilds} = {self.size} < 5"
+                f"{values}*{suits}+{wilds} = {self.size} < 5"
             )
 
     @property
@@ -69,37 +112,40 @@ class DeckSpec:
 STANDARD_DECK = DeckSpec(values=13, suits=4, wilds=0, ace_rule=AceRule.BOTH)
 
 
-@dataclass(frozen=True, order=True)
-class Card:
+class Card(_Ordered):
     """A natural (value, suit) card; values and suits are 1-based."""
 
-    value: int
-    suit: int
+    __slots__ = ("value", "suit")
     is_wild = False
 
+    def __init__(self, value: int, suit: int) -> None:
+        _set(self, "value", value)
+        _set(self, "suit", suit)
 
-@dataclass(frozen=True, order=True)
-class Wild:
+    def _key(self) -> tuple:  # hashed for each card of each parsed hand
+        return self.value, self.suit
+
+
+class Wild(_Ordered):
     """A wild card, distinguishable from its siblings only by index."""
 
-    index: int
+    __slots__ = ("index",)
     is_wild = True
 
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
 
-AnyCard = Union[Card, Wild]
 
-
-@dataclass(frozen=True)
-class Hand:
+class Hand(_Value):
     """An unordered hand of exactly 5 distinct cards."""
 
-    cards: frozenset = field(default_factory=frozenset)
+    __slots__ = ("cards",)
 
-    def __post_init__(self) -> None:
-        cards = frozenset(self.cards)
-        object.__setattr__(self, "cards", cards)
+    def __init__(self, cards: Iterable = frozenset()) -> None:
+        cards = frozenset(cards)
         if len(cards) != 5:
             raise InputError(f"a hand holds exactly 5 distinct cards, got {len(cards)}")
+        _set(self, "cards", cards)
 
     @property
     def naturals(self) -> tuple:
@@ -124,7 +170,7 @@ _GENERIC_RE = re.compile(r"^V([0-9]+)S([0-9]+)$", re.IGNORECASE)
 _WILD_RE = re.compile(r"^W([0-9]+)$", re.IGNORECASE)
 
 
-def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> AnyCard:
+def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> Union[Card, Wild]:
     """Parse a card token (standard "AS", generic "v13s4", or wild "W1")."""
     token = text.strip()
     if not token:
@@ -139,7 +185,7 @@ def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> AnyCard:
         card = Card(_STANDARD_VALUES[m.group(1).upper()],
                     _STANDARD_SUITS[m.group(2).upper()])
     else:
-        raise CardParseError(f"unrecognized card token {token!r}")
+        raise CardParseError(f"unrecognized card token {quote(token)}")
     check_cards((card,), spec)
     return card
 
@@ -165,10 +211,10 @@ def parse_hand(text: str, spec: DeckSpec = STANDARD_DECK) -> Hand:
     tokens = text.split()
     if len(tokens) != 5:
         raise CardParseError(f"a hand needs 5 card tokens, got {len(tokens)}")
-    cards = [parse_card(t, spec) for t in tokens]
-    if len(set(cards)) != 5:
+    cards = frozenset([parse_card(t, spec) for t in tokens])
+    if len(cards) != 5:
         raise CardParseError("duplicate card in hand")
-    return Hand(frozenset(cards))
+    return Hand(cards)
 
 
 def binomial(n: int, r: int) -> int:

@@ -1,7 +1,7 @@
 """What every text input shares: the one declared error for rejected
 input, the line rule of the text formats (`#` comments, blank lines,
 lines counted from 1), the bound on the numbers that input may spell out,
-and how error messages print any number."""
+and how error messages print any number and quote any input."""
 
 import math
 from typing import Iterator
@@ -11,6 +11,9 @@ from typing import Iterator
 # card tokens, rubric lines and mark sheets stay far below that, so that
 # sums and products of them still print.
 MAX_DIGITS = 1000
+
+# Input that an error message quotes is cut after this many characters.
+QUOTE_LIMIT = 80
 
 
 class InputError(ValueError):
@@ -43,3 +46,12 @@ def render_int(n: int) -> str:
         return str(n)
     digits = int(n.bit_length() * math.log10(2)) + 1
     return f"a number of about {digits} digits"
+
+
+def quote(value) -> str:
+    """repr(value), with a string of more than QUOTE_LIMIT characters cut
+    there and the number of characters cut said after it."""
+    if isinstance(value, str) and len(value) > QUOTE_LIMIT:
+        return (f"{value[:QUOTE_LIMIT]!r}... "
+                f"({len(value) - QUOTE_LIMIT} more characters)")
+    return repr(value)

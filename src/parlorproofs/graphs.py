@@ -6,11 +6,11 @@ plan and bridge map inputs use a line-oriented text format (see parse_graph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from operator import attrgetter
+from typing import NamedTuple, Optional, Union
 
-from .errors import InputError, content_lines
+from .errors import InputError, content_lines, quote
 from .proofdoc import ProofDocument, ProofStep, StepKind
 
 OUTSIDE = "outside"
@@ -24,34 +24,16 @@ class DegenerateGraphError(InputError):
     """Eulerian analysis needs at least one edge."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     u: str
     v: str
     label: Optional[str] = None
 
-    def other(self, vertex: str) -> str:
-        return self.v if vertex == self.u else self.u
 
-    @property
-    def is_loop(self) -> bool:
-        return self.u == self.v
-
-
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     vertices: frozenset
-    edges: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for edge in self.edges:
-            for endpoint in (edge.u, edge.v):
-                if endpoint not in self.vertices:
-                    raise InputError(f"edge {edge.id} references unknown "
-                                     f"vertex {endpoint!r}")
+    edges: tuple  # of Edge, each joining two of the vertices
 
     @property
     def edge_count(self) -> int:
@@ -88,17 +70,17 @@ def parse_graph(text: str) -> Multigraph:
                 elif endpoint not in vertices:
                     raise GraphFormatError(
                         f"line {lineno}: edge references undeclared vertex "
-                        f"{endpoint!r}"
+                        f"{quote(endpoint)}"
                     )
             edges.append(Edge(len(edges) + 1, u, v, label))
         else:
-            raise GraphFormatError(f"line {lineno}: unknown directive {keyword!r}")
+            raise GraphFormatError(f"line {lineno}: unknown directive {quote(keyword)}")
     return Multigraph(frozenset(vertices), tuple(edges))
 
 
 def _check_name(name: str, lineno: int) -> None:
     if not name.replace("_", "").isalnum():
-        raise GraphFormatError(f"line {lineno}: bad vertex name {name!r}")
+        raise GraphFormatError(f"line {lineno}: bad vertex name {quote(name)}")
 
 
 def degree_map(g: Multigraph) -> dict:
@@ -159,15 +141,13 @@ def eulerian_status(g: Multigraph) -> EulerianStatus:
     return EulerianStatus.NO_TRAIL
 
 
-@dataclass(frozen=True)
-class TrailStep:
+class TrailStep(NamedTuple):
     edge_id: int
     frm: str
     to: str
 
 
-@dataclass(frozen=True)
-class Trail:
+class Trail(NamedTuple):
     steps: tuple
     start: str
     end: str
@@ -193,13 +173,13 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
     incidence: dict = {v: [] for v in g.vertices}
     for edge in g.edges:
         incidence[edge.u].append(edge)
-        if not edge.is_loop:
+        if edge.v != edge.u:
             incidence[edge.v].append(edge)
     for lists in incidence.values():
-        lists.sort(key=lambda e: e.id, reverse=True)  # pop() takes lowest id
+        lists.sort(key=attrgetter("id"), reverse=True)  # pop() takes lowest id
 
     odd = odd_vertices(g)
-    start = odd[0] if odd else min(v for e in g.edges for v in (e.u, e.v))
+    start = odd[0] if odd else min(v for v, lists in incidence.items() if lists)
 
     # Hierholzer: a vertex leaves the stack once its edges are used up, and
     # the edge it arrived by is the trail's next step, read backwards.
@@ -214,7 +194,7 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
         if lists:
             edge = lists.pop()
             used.add(edge.id)
-            stack.append((edge.other(vertex), edge))
+            stack.append((edge.v if vertex == edge.u else edge.u, edge))
         else:
             stack.pop()
             if arrived is not None:

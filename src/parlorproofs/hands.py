@@ -7,13 +7,12 @@ Counts are closed-form products of binomials; the enumeration oracle in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .deck import AceRule, DeckSpec, Hand, binomial, check_cards
-from .errors import InputError
+from .errors import InputError, quote
 from .proofdoc import ProofDocument, ProofStep, StepKind
 
 
@@ -73,7 +72,7 @@ class HandCategory(IntEnum):
         try:
             return cls[key]
         except KeyError:
-            raise InputError(f"unknown hand category {slug!r}") from None
+            raise InputError(f"unknown hand category {quote(slug)}") from None
 
 
 def _run_count(spec: DeckSpec) -> int:
@@ -213,8 +212,7 @@ def count_category(category: HandCategory, spec: DeckSpec) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Probability:
+class Probability(NamedTuple):
     """Exact probability: unreduced count/total plus the reduced fraction."""
 
     count: int
@@ -243,8 +241,7 @@ def probability(category: HandCategory, spec: DeckSpec) -> Probability:
     return Probability(count_category(category, spec), binomial(spec.size, 5))
 
 
-@dataclass(frozen=True)
-class WinnerReport:
+class WinnerReport(NamedTuple):
     """Outcome of the lowest-probability-wins rule.
 
     `winner` is set for a unique winner; `tied` lists all minimal players
@@ -270,7 +267,7 @@ def determine_winner(entries: Iterable, spec: DeckSpec) -> WinnerReport:
     seen: set = set()
     for name, _ in entries:
         if name in seen:
-            raise InputError(f"duplicate player {name!r}")
+            raise InputError(f"duplicate player {quote(name)}")
         seen.add(name)
 
     scored = [(name, cat, probability(cat, spec)) for name, cat in entries]
@@ -403,7 +400,7 @@ def _count_terms(category: HandCategory, spec: DeckSpec) -> list:
     try:
         terms = _TERMS[category]
     except KeyError:
-        raise InputError(f"unknown category {category!r}") from None
+        raise InputError(f"unknown category {quote(category)}") from None
     return terms(spec.values, spec.suits, _run_count(spec))
 
 

@@ -28,8 +28,8 @@ no code with the library.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .deck import DeckSpec, binomial
 from .errors import InputError, render_int
@@ -138,8 +138,7 @@ def tally_all(spec: DeckSpec, workers: int = 1) -> dict:
     return tallies
 
 
-@dataclass(frozen=True)
-class VerificationRow:
+class VerificationRow(NamedTuple):
     category: HandCategory
     closed_form: int
     oracle: int
@@ -149,8 +148,7 @@ class VerificationRow:
         return self.closed_form == self.oracle
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     spec: DeckSpec
     rows: tuple
     total: int

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class StepKind(Enum):
@@ -18,19 +18,14 @@ class StepKind(Enum):
     QED = "qed"
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(NamedTuple):
     kind: StepKind
     text: str
 
 
-@dataclass(frozen=True)
-class ProofDocument:
+class ProofDocument(NamedTuple):
     title: str
-    steps: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
+    steps: tuple  # of ProofStep
 
     def kinds(self) -> tuple:
         return tuple(step.kind for step in self.steps)

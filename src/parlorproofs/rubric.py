@@ -8,11 +8,10 @@ half-points so totals stay exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
-from .errors import InputError, content_lines, parse_digits
+from .errors import InputError, content_lines, parse_digits, quote
 
 
 class RubricFormatError(InputError):
@@ -28,7 +27,7 @@ def _parse_half_points(token: str, context: str) -> int:
     half-points; its digits obey MAX_DIGITS."""
     whole, _, tail = token.partition(".")
     if not whole + tail or "." in tail:
-        raise MarkSheetError(f"{context}: not a number: {token!r}")
+        raise MarkSheetError(f"{context}: not a number: {quote(token)}")
     value = parse_digits(whole + tail, MarkSheetError, context)
     doubled, rest = divmod(2 * value, 10 ** len(tail))
     if rest:
@@ -44,8 +43,7 @@ def _render_half_points(hp: int) -> str:
     return f"{'-' if hp < 0 else ''}{whole}{'.5' if half else ''}"
 
 
-@dataclass(frozen=True)
-class Criterion:
+class Criterion(NamedTuple):
     description: str
     points: int  # full points
     multiplier: int = 1
@@ -55,51 +53,25 @@ class Criterion:
         return self.points * self.multiplier
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     name: str
     criteria: tuple
 
 
-@dataclass(frozen=True)
-class PointRubric:
+class PointRubric(NamedTuple):
     name: str
     maximum: int
     sections: tuple
 
-    def __post_init__(self) -> None:
-        seen = set()
-        declared = 0
-        for section in self.sections:
-            for criterion in section.criteria:
-                if criterion.description in seen:
-                    raise RubricFormatError(
-                        f"duplicate criterion {criterion.description!r}"
-                    )
-                seen.add(criterion.description)
-                declared += criterion.weighted_points
-        if declared != self.maximum:
-            raise RubricFormatError(
-                f"criteria sum to {declared}, not the declared maximum "
-                f"{self.maximum}"
-            )
 
-
-@dataclass(frozen=True)
-class Trait:
+class Trait(NamedTuple):
     name: str
     levels: tuple  # descriptions for levels 1..5
 
 
-@dataclass(frozen=True)
-class TraitRubric:
+class TraitRubric(NamedTuple):
     name: str
     traits: tuple
-
-    def __post_init__(self) -> None:
-        names = [t.name for t in self.traits]
-        if len(set(names)) != len(names):
-            raise RubricFormatError("duplicate trait name")
 
     @property
     def maximum(self) -> int:
@@ -160,9 +132,21 @@ def _load_point(name: str, maximum: int, lines: Iterator) -> PointRubric:
                 m.group(1), parse_digits(m.group(2), RubricFormatError, context),
                 parse_digits(m.group(3) or "1", RubricFormatError, context)))
             continue
-        raise RubricFormatError(f"line {lineno}: unrecognized line {line!r}")
+        raise RubricFormatError(f"line {lineno}: unrecognized line {quote(line)}")
     if current_name is not None:
         sections.append(Section(current_name, tuple(current)))
+    seen = set()
+    declared = 0
+    for section in sections:
+        for criterion in section.criteria:
+            if criterion.description in seen:
+                raise RubricFormatError(
+                    f"duplicate criterion {quote(criterion.description)}")
+            seen.add(criterion.description)
+            declared += criterion.weighted_points
+    if declared != maximum:
+        raise RubricFormatError(
+            f"criteria sum to {declared}, not the declared maximum {maximum}")
     return PointRubric(name, maximum, tuple(sections))
 
 
@@ -176,7 +160,7 @@ def _load_trait(name: str, lines: Iterator) -> TraitRubric:
             return
         if sorted(levels) != [1, 2, 3, 4, 5]:
             raise RubricFormatError(
-                f"line {lineno}: trait {current_name!r} must define levels 1..5"
+                f"line {lineno}: trait {quote(current_name)} must define levels 1..5"
             )
         traits.append(Trait(current_name, tuple(levels[k] for k in range(1, 6))))
 
@@ -195,8 +179,10 @@ def _load_trait(name: str, lines: Iterator) -> TraitRubric:
                 raise RubricFormatError(f"line {lineno}: duplicate level {k}")
             levels[k] = m.group(2)
             continue
-        raise RubricFormatError(f"line {lineno}: unrecognized line {line!r}")
+        raise RubricFormatError(f"line {lineno}: unrecognized line {quote(line)}")
     finish("end")
+    if len({t.name for t in traits}) != len(traits):
+        raise RubricFormatError("duplicate trait name")
     return TraitRubric(name, tuple(traits))
 
 
@@ -204,8 +190,7 @@ _AWARD_RE = re.compile(r'^award\s+"([^"]+)"\s+([0-9.]+)$')
 _MARK_LEVEL_RE = re.compile(r'^level\s+"([^"]+)"\s+([1-5])$')
 
 
-@dataclass(frozen=True)
-class MarkSheet:
+class MarkSheet(NamedTuple):
     """Awarded values: half-points per criterion description, or a 1..5
     level per trait name."""
 
@@ -226,19 +211,17 @@ def parse_marks(text: str) -> MarkSheet:
         if m:
             levels.append((m.group(1), int(m.group(2))))
             continue
-        raise MarkSheetError(f"line {lineno}: unrecognized line {line!r}")
+        raise MarkSheetError(f"line {lineno}: unrecognized line {quote(line)}")
     return MarkSheet(tuple(awards), tuple(levels))
 
 
-@dataclass(frozen=True)
-class ScoreRow:
+class ScoreRow(NamedTuple):
     name: str
     awarded_hp: int
     maximum_hp: int
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     rows: tuple  # per section (point rubric) or per trait
     total_hp: int
     maximum_hp: int
@@ -277,13 +260,13 @@ def _one_mark_each(names: list, marks: tuple, what: str,
     given: dict = {}
     for name, mark in marks:
         if name in given:
-            raise MarkSheetError(f"duplicate {what} {name!r}")
+            raise MarkSheetError(f"duplicate {what} {quote(name)}")
         given[name] = mark
     for name in names:
         if name not in given:
-            raise MarkSheetError(f"missing {what} {name!r}")
+            raise MarkSheetError(f"missing {what} {quote(name)}")
     known = set(names)
-    extra = ", ".join(repr(n) for n in given if n not in known)
+    extra = ", ".join(quote(n) for n in given if n not in known)
     if extra:
         raise MarkSheetError(f"{unknown}: {extra}")
     return given
@@ -304,7 +287,7 @@ def _score_point(rubric: PointRubric, marks: MarkSheet) -> ScoreReport:
             if not 0 <= hp <= 2 * criterion.points:
                 raise MarkSheetError(
                     f"award {_render_half_points(hp)} for "
-                    f"{criterion.description!r} outside 0..{criterion.points}"
+                    f"{quote(criterion.description)} outside 0..{criterion.points}"
                 )
             subtotal += hp * criterion.multiplier
         rows.append(ScoreRow(
@@ -324,7 +307,7 @@ def _score_trait(rubric: TraitRubric, marks: MarkSheet) -> ScoreReport:
     for trait in rubric.traits:
         level = by_trait[trait.name]
         if not 1 <= level <= 5:
-            raise MarkSheetError(f"level {level} for {trait.name!r} outside 1..5")
+            raise MarkSheetError(f"level {level} for {quote(trait.name)} outside 1..5")
         rows.append(ScoreRow(trait.name, 2 * level, 10))
         total += 2 * level
     return ScoreReport(tuple(rows), total, 2 * rubric.maximum)

@@ -285,6 +285,20 @@ def test_non_utf8_file_is_a_usage_error(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["graph", "analyze", "FILE"],
+    ["poker", "winner", "B" * 5000],
+], ids=["graph", "winner"])
+def test_oversized_input_is_quoted_briefly(argv, tmp_path, capsys):
+    path = tmp_path / "big.graph"
+    path.write_text("vertex A\nedge A " + "B" * 5000 + "\n")
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    assert invoke(*argv) == (2, "")
+    err = capsys.readouterr().err
+    assert err.endswith("'... (4920 more characters)\n")
+    assert len(err) < 200 + len(str(path))
+
+
 class TestRubricCommand:
     def test_score_full_marks(self, tmp_path):
         rubric_path = tmp_path / "poker.rubric"

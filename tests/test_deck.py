@@ -45,6 +45,14 @@ class TestDeckSpec:
         with pytest.raises(InvalidDeckError, match="must be an int"):
             DeckSpec(**kwargs)
 
+    @pytest.mark.parametrize("ace_rule", ["both", "high_only", "x", None, 1])
+    def test_ace_rule_must_be_an_ace_rule(self, ace_rule):
+        # A string once passed and counted straights under the high-only
+        # rule, whatever it said.
+        with pytest.raises(InvalidDeckError,
+                           match=f"^ace_rule must be an AceRule, got {ace_rule!r}$"):
+            DeckSpec(ace_rule=ace_rule)
+
     @pytest.mark.parametrize("name", ["values", "suits", "wilds"])
     def test_negative_parameter_too_long_to_print_rejected(self, name):
         with pytest.raises(InvalidDeckError, match="about 5001 digits"):

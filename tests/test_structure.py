@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import parlorproofs
-from parlorproofs import InputError, load_rubric, parse_graph, parse_marks
+from parlorproofs import (InputError, load_rubric, parse_card, parse_graph,
+                          parse_marks)
+from parlorproofs.errors import QUOTE_LIMIT
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parlorproofs"
 MODULES = sorted(SRC.glob("*.py"))
@@ -91,6 +93,21 @@ def test_text_formats_share_the_line_rule(parse, good):
         parse(head + "bogus  # note\n")
 
 
+@pytest.mark.parametrize("parse, text, quoted", [
+    (parse_graph, "vertex A\nedge A " + "B" * 5000, "undeclared vertex 'B"),
+    (load_rubric, "rubric trait T\n" + "x" * 5000, "unrecognized line 'x"),
+    (parse_marks, 'award "c" 1.1.' + "1" * 5000, "not a number: '1.1."),
+    (parse_card, "Z" * 5000, "unrecognized card token 'Z"),
+], ids=["graph", "rubric", "marks", "card"])
+def test_errors_quote_oversized_input_briefly(parse, text, quoted):
+    with pytest.raises(InputError) as caught:
+        parse(text)
+    message = str(caught.value)
+    assert quoted in message and len(message) < 160
+    cut = 5000 - QUOTE_LIMIT + (4 if parse is parse_marks else 0)
+    assert message.endswith(f"'... ({cut} more characters)")
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_substitution_product(path):
     # Wild hands are decided by rule; a product over the deck's cards would
@@ -113,15 +130,62 @@ def test_no_bare_value_error_or_exception_raised(path):
                 f"{path.name}:{node.lineno} raises {name}"
 
 
-def test_cli_start_does_not_import_the_process_pool():
-    # tally_all imports concurrent.futures only when it starts a pool.
-    code = ("import sys, parlorproofs.cli; "
-            "print('concurrent.futures' in sys.modules)")
+def _fresh_python(script, cwd=None) -> str:
+    """stdout of `python -c script` in a new process that finds the package."""
     path = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout == "False\n"
+    return subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_start_does_not_import_the_process_pool():
+    # tally_all imports concurrent.futures only when it starts a pool.
+    assert _fresh_python("import sys, parlorproofs.cli; "
+                         "print('concurrent.futures' in sys.modules)") == "False\n"
+
+
+# A command loads only the modules it runs: a graph command no deck or hand
+# code, a poker command no graph or rubric code.  No command loads
+# dataclasses, whose import brings inspect, ast and dis, or a process pool.
+NEVER_LOADED = {"dataclasses", "inspect", "concurrent.futures"}
+TRAIT_RUBRIC = 'rubric trait T\ntrait "t"\n' + "".join(
+    f'level {k} "l{k}"\n' for k in range(1, 6))
+
+
+@pytest.mark.parametrize("argv, unwanted", [
+    (["graph", "analyze", str(SRC / "data" / "konigsberg.graph")],
+     {"parlorproofs.deck", "parlorproofs.hands", "parlorproofs.oracle",
+      "parlorproofs.rubric", "fractions"}),
+    (["poker", "count", "full-house"],
+     {"parlorproofs.graphs", "parlorproofs.rubric", "parlorproofs.oracle"}),
+    (["poker", "verify", "--values", "5", "--suits", "2"],
+     {"parlorproofs.graphs", "parlorproofs.rubric"}),
+    (["rubric", "score", "RUBRIC", "MARKS"],
+     {"parlorproofs.deck", "parlorproofs.hands", "parlorproofs.oracle",
+      "parlorproofs.graphs"}),
+], ids=["graph", "poker-count", "poker-verify", "rubric"])
+def test_command_loads_only_its_modules(argv, unwanted, tmp_path):
+    (tmp_path / "RUBRIC").write_text(TRAIT_RUBRIC)
+    (tmp_path / "MARKS").write_text('level "t" 3\n')
+    status, *loaded = _fresh_python(
+        "import io, sys; from parlorproofs import cli; "
+        f"status = cli.run({argv!r}, out=io.StringIO()); "
+        "print(status, *sorted(sys.modules))", cwd=tmp_path).split()
+    assert status == "0"
+    assert not (NEVER_LOADED | unwanted) & set(loaded)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # Value types are NamedTuples or __slots__ classes; see NEVER_LOADED.
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        assert "dataclasses" not in names, f"{path.name}:{node.lineno}"
 
 
 @pytest.mark.parametrize("name", EXPORTS)
@@ -132,10 +196,20 @@ def test_export_imports_from_the_package(name):
 
 
 def test_exports_are_exactly_the_listed_names():
-    exported = {name for name, value in vars(parlorproofs).items()
+    # The package loads its exports on first use, so dir(), not vars(),
+    # lists them.
+    exported = {name for name in dir(parlorproofs)
                 if not name.startswith("_")
-                and not isinstance(value, types.ModuleType)}
+                and not isinstance(getattr(parlorproofs, name),
+                                   types.ModuleType)}
     assert exported == set(EXPORTS)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'Nope'"):
+        parlorproofs.Nope
+    with pytest.raises(ImportError):
+        exec("from parlorproofs import Nope", {})
 
 
 def _exception_classes():
