@@ -2,13 +2,15 @@
 
 All logic lives in the library modules; the CLI only parses arguments,
 formats output, and maps results to exit codes: 0 for success, 1 for a
-well-formed negative answer, 2 for usage errors and for any `InputError`.
+well-formed negative answer, 2 for usage errors and for any `InputError`,
+and 141 when the reader of stdout has gone before the output is written.
 Each handler imports the modules it uses, so a command loads no others.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -17,6 +19,7 @@ from .errors import InputError, quote
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,34 +33,28 @@ def _build_parser() -> argparse.ArgumentParser:
     poker = top.add_parser("poker", help="hand counts, probabilities, winners")
     poker_sub = poker.add_subparsers(dest="command", required=True)
 
-    def add_deck_flags(p, wilds=True):
-        p.add_argument("--values", type=int, default=13, metavar="V")
-        p.add_argument("--suits", type=int, default=4, metavar="S")
-        if wilds:
-            p.add_argument("--wilds", type=int, default=0, metavar="W")
-        p.add_argument("--ace", choices=("both", "high"), default="both")
+    deck = argparse.ArgumentParser(add_help=False)
+    deck.add_argument("--values", type=int, default=13, metavar="V")
+    deck.add_argument("--suits", type=int, default=4, metavar="S")
+    deck.add_argument("--ace", choices=("both", "high"), default="both")
 
     for name in ("count", "prob"):
-        p = poker_sub.add_parser(name)
+        p = poker_sub.add_parser(name, parents=[deck])
         p.set_defaults(handler=_poker_count)
-        add_deck_flags(p)
         p.add_argument("category", nargs="?", metavar="CATEGORY")
         p.add_argument("--all", action="store_true", dest="all_categories")
 
-    p = poker_sub.add_parser("winner")
+    p = poker_sub.add_parser("winner", parents=[deck])
     p.set_defaults(handler=_poker_winner)
-    add_deck_flags(p, wilds=False)
     p.add_argument("entries", nargs="+", metavar="NAME=CATEGORY")
 
-    p = poker_sub.add_parser("verify")
+    p = poker_sub.add_parser("verify", parents=[deck])
     p.set_defaults(handler=_poker_verify)
-    add_deck_flags(p, wilds=False)
     p.add_argument("--workers", type=int, default=1, metavar="N")
     p.add_argument("--csv", action="store_true")
 
-    p = poker_sub.add_parser("proof")
+    p = poker_sub.add_parser("proof", parents=[deck])
     p.set_defaults(handler=_poker_proof)
-    add_deck_flags(p, wilds=False)
     p.add_argument("category", metavar="CATEGORY")
 
     graph = top.add_parser("graph", help="Eulerian trail analysis of graph files")
@@ -82,8 +79,7 @@ def _deck_spec(args):
     from . import hands
     from .deck import AceRule, DeckSpec
     ace = AceRule.BOTH if args.ace == "both" else AceRule.HIGH_ONLY
-    spec = DeckSpec(values=args.values, suits=args.suits,
-                    wilds=getattr(args, "wilds", 0), ace_rule=ace)
+    spec = DeckSpec(values=args.values, suits=args.suits, ace_rule=ace)
     hands.require_printable(spec)
     return spec
 
@@ -218,7 +214,15 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: point stdout at devnull so that the flush at
+        # shutdown cannot raise again, and exit as a shell reports SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_BROKEN_PIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

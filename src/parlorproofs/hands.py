@@ -7,8 +7,8 @@ Counts are closed-form products of binomials; the enumeration oracle in
 
 from __future__ import annotations
 
+import math
 from enum import IntEnum
-from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .deck import AceRule, DeckSpec, Hand, binomial, check_cards
@@ -219,20 +219,21 @@ class Probability(NamedTuple):
     total: int
 
     @property
-    def fraction(self) -> Fraction:
+    def fraction(self):
+        from fractions import Fraction
         return Fraction(self.count, self.total)
 
     def decimal(self) -> str:
-        """Decimal rendering to 6 significant digits (approximate)."""
+        """Decimal rendering to 6 significant digits (approximate); int/int
+        division rounds correctly, as float(self.fraction) does."""
         if self.count == 0:
             return "0"
-        return f"{float(self.fraction):.6g}"
+        return f"{self.count / self.total:.6g}"
 
     def format(self) -> str:
-        frac = self.fraction
+        g = math.gcd(self.count, self.total)
         return (f"{self.count}/{self.total} = "
-                f"{frac.numerator}/{frac.denominator} "
-                f"≈ {self.decimal()}")
+                f"{self.count // g}/{self.total // g} ≈ {self.decimal()}")
 
 
 def probability(category: HandCategory, spec: DeckSpec) -> Probability:
@@ -272,13 +273,12 @@ def determine_winner(entries: Iterable, spec: DeckSpec) -> WinnerReport:
 
     scored = [(name, cat, probability(cat, spec)) for name, cat in entries]
     excluded = tuple((name, cat) for name, cat, p in scored if p.count == 0)
-    viable = [(name, cat, p) for name, cat, p in scored if p.count > 0]
-    ranking = tuple(sorted(viable, key=lambda e: (e[2].fraction, e[0])))
-
-    if not viable:
-        return WinnerReport(None, (), excluded, ())
-    lowest = min(p.fraction for _, _, p in viable)
-    minimal = tuple(name for name, _, p in ranking if p.fraction == lowest)
+    # Every probability of one deck has the denominator C(size, 5), so the
+    # counts rank them.
+    ranking = tuple(sorted((e for e in scored if e[2].count > 0),
+                           key=lambda e: (e[2].count, e[0])))
+    minimal = tuple(name for name, _, p in ranking
+                    if p.count == ranking[0][2].count)
     winner = minimal[0] if len(minimal) == 1 else None
     return WinnerReport(winner, minimal if len(minimal) > 1 else (), excluded, ranking)
 
@@ -316,8 +316,6 @@ def _royal_flush(V: int, S: int, R: int) -> list:
 
 
 def _straight_flush(V: int, S: int, R: int) -> list:
-    if V < 5:
-        return []
     return [[
         _choose(R - 1, 1, "choose a run of 5 consecutive values below the top run"),
         _choose(S, 1, "choose the shared suit"),
@@ -419,7 +417,7 @@ def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument
         f"There are exactly {count} {category.label} hands in {deck_desc}; "
         f"the probability of drawing one is {prob.format()}.",
     )]
-    if not terms or count == 0:
+    if count == 0:
         steps.append(ProofStep(
             StepKind.OBSERVATION,
             f"No 5-card hand of {deck_desc} can satisfy the {category.label} "

@@ -8,7 +8,6 @@ half-points so totals stay exact.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Union
 
 from .errors import InputError, content_lines, parse_digits, quote
@@ -110,31 +109,38 @@ def load_rubric(text: str) -> Rubric:
     )
 
 
-def _load_point(name: str, maximum: int, lines: Iterator) -> PointRubric:
-    sections: list = []
-    current: list = []
-    current_name = None
+def _groups(lines: Iterator, group_re, item_re, group: str, item: str,
+            read) -> list:
+    """[(line number, name, [read(line number, match), ...]), ...]: a line
+    that group_re matches opens a group named by its first match group, and
+    each line that item_re matches joins the open group through `read`.  An
+    item before any group, or a line neither matches, is refused."""
+    groups: list = []
     for lineno, line in lines:
-        m = _SECTION_RE.match(line)
+        m = group_re.match(line)
         if m:
-            if current_name is not None:
-                sections.append(Section(current_name, tuple(current)))
-            current_name, current = m.group(1), []
+            groups.append((lineno, m.group(1), []))
             continue
-        m = _CRITERION_RE.match(line)
-        if m:
-            if current_name is None:
-                raise RubricFormatError(
-                    f"line {lineno}: criterion before any section"
-                )
-            context = f"line {lineno}"
-            current.append(Criterion(
-                m.group(1), parse_digits(m.group(2), RubricFormatError, context),
-                parse_digits(m.group(3) or "1", RubricFormatError, context)))
-            continue
-        raise RubricFormatError(f"line {lineno}: unrecognized line {quote(line)}")
-    if current_name is not None:
-        sections.append(Section(current_name, tuple(current)))
+        m = item_re.match(line)
+        if not m:
+            raise RubricFormatError(
+                f"line {lineno}: unrecognized line {quote(line)}")
+        if not groups:
+            raise RubricFormatError(f"line {lineno}: {item} before any {group}")
+        groups[-1][2].append(read(lineno, m))
+    return groups
+
+
+def _load_point(name: str, maximum: int, lines: Iterator) -> PointRubric:
+    def read(lineno, m):
+        context = f"line {lineno}"
+        return Criterion(
+            m.group(1), parse_digits(m.group(2), RubricFormatError, context),
+            parse_digits(m.group(3) or "1", RubricFormatError, context))
+
+    sections = [Section(title, tuple(criteria)) for _, title, criteria in
+                _groups(lines, _SECTION_RE, _CRITERION_RE, "section",
+                        "criterion", read)]
     seen = set()
     declared = 0
     for section in sections:
@@ -151,36 +157,21 @@ def _load_point(name: str, maximum: int, lines: Iterator) -> PointRubric:
 
 
 def _load_trait(name: str, lines: Iterator) -> TraitRubric:
+    groups = _groups(lines, _TRAIT_RE, _LEVEL_RE, "trait", "level",
+                     lambda lineno, m: (lineno, int(m.group(1)), m.group(2)))
+    # A trait that lacks a level is named at the next trait line, or "end".
+    ends = [lineno for lineno, _, _ in groups[1:]] + ["end"]
     traits: list = []
-    current_name = None
-    levels: dict = {}
-
-    def finish(lineno):
-        if current_name is None:
-            return
-        if sorted(levels) != [1, 2, 3, 4, 5]:
-            raise RubricFormatError(
-                f"line {lineno}: trait {quote(current_name)} must define levels 1..5"
-            )
-        traits.append(Trait(current_name, tuple(levels[k] for k in range(1, 6))))
-
-    for lineno, line in lines:
-        m = _TRAIT_RE.match(line)
-        if m:
-            finish(lineno)
-            current_name, levels = m.group(1), {}
-            continue
-        m = _LEVEL_RE.match(line)
-        if m:
-            if current_name is None:
-                raise RubricFormatError(f"line {lineno}: level before any trait")
-            k = int(m.group(1))
+    for (_, title, found), end in zip(groups, ends):
+        levels: dict = {}
+        for lineno, k, description in found:
             if k in levels:
                 raise RubricFormatError(f"line {lineno}: duplicate level {k}")
-            levels[k] = m.group(2)
-            continue
-        raise RubricFormatError(f"line {lineno}: unrecognized line {quote(line)}")
-    finish("end")
+            levels[k] = description
+        if sorted(levels) != [1, 2, 3, 4, 5]:
+            raise RubricFormatError(
+                f"line {end}: trait {quote(title)} must define levels 1..5")
+        traits.append(Trait(title, tuple(levels[k] for k in range(1, 6))))
     if len({t.name for t in traits}) != len(traits):
         raise RubricFormatError("duplicate trait name")
     return TraitRubric(name, tuple(traits))
@@ -227,11 +218,13 @@ class ScoreReport(NamedTuple):
     maximum_hp: int
 
     @property
-    def total(self) -> Fraction:
+    def total(self):
+        from fractions import Fraction
         return Fraction(self.total_hp, 2)
 
     @property
-    def maximum(self) -> Fraction:
+    def maximum(self):
+        from fractions import Fraction
         return Fraction(self.maximum_hp, 2)
 
     def render_text(self) -> str:
@@ -266,9 +259,11 @@ def _one_mark_each(names: list, marks: tuple, what: str,
         if name not in given:
             raise MarkSheetError(f"missing {what} {quote(name)}")
     known = set(names)
-    extra = ", ".join(quote(n) for n in given if n not in known)
+    extra = [n for n in given if n not in known]
     if extra:
-        raise MarkSheetError(f"{unknown}: {extra}")
+        more = f" and {len(extra) - 3} more" if len(extra) > 3 else ""
+        raise MarkSheetError(
+            f"{unknown}: {', '.join(quote(n) for n in extra[:3])}{more}")
     return given
 
 

@@ -1,4 +1,9 @@
 import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +58,19 @@ class TestPokerCommands:
     def test_wild_deck_count_is_a_usage_error(self):
         code, _ = invoke("poker", "count", "--wilds", "1", "pair")
         assert code == 2
+
+    # Each poker command takes the one deck-flag set; --wilds has no
+    # command until wild decks have closed forms.
+    @pytest.mark.parametrize("command, own", [
+        ("count", {"--all"}), ("prob", {"--all"}), ("winner", set()),
+        ("verify", {"--workers", "--csv"}), ("proof", set()),
+    ])
+    def test_help_lists_the_deck_flags(self, command, own, capsys):
+        assert invoke("poker", command, "--help") == (0, "")
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"^  (?:-h, )?(--[a-z]+)", text, re.M))
+        assert listed == {"--help", "--values", "--suits", "--ace"} | own
+        assert "--wilds" not in text
 
     def test_winner_scenario(self):
         code, out = invoke("poker", "winner", "Bond=full-house",
@@ -332,6 +350,41 @@ class TestRubricCommand:
         marks_path.write_text('award "c" 9\n')
         code, _ = invoke("rubric", "score", str(rubric_path), str(marks_path))
         assert code == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# A closed stdout is not an answer: the command exits with the status a shell
+# reports for SIGPIPE, never 0, 1 or 2, and prints no traceback.  Buffered
+# output fails at the last flush, unbuffered output at the first print.
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["poker", "count", "--all"],
+    ["graph", "analyze", str(SRC / "parlorproofs" / "data" / "konigsberg.graph")],
+    ["rubric", "score", "RUBRIC", "MARKS"],
+], ids=["poker", "graph", "rubric"])
+def test_closed_stdout_exits_quietly(argv, unbuffered, tmp_path):
+    (tmp_path / "RUBRIC").write_text(fixture_text("writing_rubric.rubric"))
+    (tmp_path / "MARKS").write_text(
+        'level "Assignment Requirements" 4\nlevel "Reasoning (proof)" 5\n'
+        'level "Quality of Details" 3\n')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "parlorproofs.cli", *argv], env=env,
+            cwd=tmp_path, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode not in (0, 1, 2)
 
 
 class TestUsage:

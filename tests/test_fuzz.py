@@ -88,7 +88,6 @@ def _poker_argv(draw):
     flags = ["--values", draw(_INT), "--suits", draw(_INT),
              "--ace", draw(st.sampled_from(["both", "high"]))]
     if command in ("count", "prob"):
-        flags += ["--wilds", draw(st.one_of(st.just("0"), _INT))]
         rest = draw(st.one_of(st.just(["--all"]), st.lists(_SLUG, max_size=1)))
     elif command == "winner":
         rest = draw(st.lists(_ENTRY, min_size=1, max_size=3))

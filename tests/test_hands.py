@@ -10,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                                STANDARD_DECK, Wild, binomial, parse_hand)
 from parlorproofs.errors import InputError
-from parlorproofs.hands import (HandCategory, WildCardsUnsupportedError,
-                                WildInHandError, _run_count, classify,
-                                classify_with_wilds, combinatorial_proof,
-                                count_category, determine_winner, probability)
+from parlorproofs.hands import (HandCategory, Probability,
+                                WildCardsUnsupportedError, WildInHandError,
+                                _run_count, classify, classify_with_wilds,
+                                combinatorial_proof, count_category,
+                                determine_winner, probability)
 from parlorproofs.proofdoc import StepKind
 
 from independent import (best_over_substitutions, naive_classify,
@@ -372,6 +373,45 @@ class TestDetermineWinner:
     def test_permutation_invariant(self, entries):
         report = determine_winner(entries, STANDARD_DECK)
         assert report.winner == "Bond"
+
+
+class TestIntegerProbabilities:
+    """Every probability of one deck has the denominator C(size, 5), so the
+    library renders and ranks them on integers; a rendering and a ranking
+    built with Fraction must agree with it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_format_and_decimal_match_fraction(self, data):
+        bits = data.draw(st.integers(1, 13_800))
+        total = data.draw(st.integers(1, 2 ** bits))
+        count = data.draw(st.integers(0, total))
+        common = data.draw(st.sampled_from([1, 2, 6, 2 ** 64, 3 ** 120]))
+        count, total = count * common, total * common  # below 2**14000
+        frac = Fraction(count, total)
+        decimal = "0" if count == 0 else f"{float(frac):.6g}"
+        p = Probability(count, total)
+        assert p.decimal() == decimal
+        assert p.format() == (f"{count}/{total} = {frac.numerator}/"
+                              f"{frac.denominator} ≈ {decimal}")
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=st.sampled_from(SMALL_SPECS),
+           entries=st.dictionaries(st.text(max_size=3),
+                                   st.sampled_from(list(HandCategory)),
+                                   min_size=1, max_size=6))
+    def test_winner_matches_fraction_ranking(self, spec, entries):
+        report = determine_winner(entries.items(), spec)
+        scored = [(n, c, probability(c, spec)) for n, c in entries.items()]
+        viable = sorted((e for e in scored if e[2].count > 0),
+                        key=lambda e: (e[2].fraction, e[0]))
+        lowest = [n for n, _, p in viable
+                  if p.fraction == viable[0][2].fraction]
+        assert report.ranking == tuple(viable)
+        assert report.winner == (lowest[0] if len(lowest) == 1 else None)
+        assert report.tied == (tuple(lowest) if len(lowest) > 1 else ())
+        assert report.excluded == tuple((n, c) for n, c, p in scored
+                                        if p.count == 0)
 
 
 class TestCombinatorialProof:

@@ -76,6 +76,33 @@ class TestLoadRubric:
         with pytest.raises(RubricFormatError, match="duplicate"):
             load_rubric(text)
 
+    # Both kinds read their lines with one rule: errors that a single line
+    # shows come in line order, then errors of a group (a trait's levels)
+    # and of the whole rubric.
+    @pytest.mark.parametrize("text, message", [
+        ('rubric point R max=1\ncriterion "c" points=1\n',
+         "line 2: criterion before any section"),
+        ('rubric trait R\nlevel 1 "a"\n', "line 2: level before any trait"),
+        ('rubric point R max=1\nsection S\n\nsection T\nbogus\n',
+         "line 5: unrecognized line 'bogus'"),
+        ('rubric trait R\ntrait "t"\n\nbogus\n',
+         "line 4: unrecognized line 'bogus'"),
+        ('rubric trait R\ntrait "t"\nlevel 1 "a"\ntrait "u"\nbogus\n',
+         "line 5: unrecognized line 'bogus'"),
+        ('rubric trait R\ntrait "t"\nlevel 1 "a"\nlevel 1 "b"\n'
+         'trait "u"\n', "line 4: duplicate level 1"),
+        ('rubric trait R\ntrait "t"\nlevel 1 "a"\ntrait "u"\n',
+         "line 4: trait 't' must define levels 1..5"),
+        ('rubric trait R\ntrait "t"\nlevel 1 "a"\n',
+         "line end: trait 't' must define levels 1..5"),
+    ], ids=["point-before-any", "trait-before-any", "point-unrecognized",
+            "trait-unrecognized", "line-error-before-level-error",
+            "trait-duplicate-level", "trait-missing-level", "trait-at-end"])
+    def test_error_order_of_both_kinds(self, text, message):
+        with pytest.raises(RubricFormatError) as caught:
+            load_rubric(text)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("text", [
         "rubric point R max=" + "1" * 5000,
         'rubric point R max=1\nsection S\ncriterion "c" points=' + "1" * 5000,
@@ -206,12 +233,15 @@ def _edited(pairs, drop=(), add=()):
      "missing level for trait 'Reasoning (proof)'"),
     (True, (), [("Style", 3), ("Tone", 2)],
      "levels for unknown traits: 'Style', 'Tone'"),
+    (True, (), [("Style", 3), ("Tone", 2), ("Voice", 1), ("Wit", 4)],
+     "levels for unknown traits: 'Style', 'Tone', 'Voice' and 1 more"),
     # A missing name is reported before an earlier item's range error.
     (True, ["Assignment Requirements", "Quality of Details"],
      [("Assignment Requirements", 7)],
      "missing level for trait 'Quality of Details'"),
 ], ids=["point-duplicate", "point-missing", "point-unknown",
-        "trait-duplicate", "trait-missing", "trait-unknown", "trait-order"])
+        "trait-duplicate", "trait-missing", "trait-unknown",
+        "trait-unknown-many", "trait-order"])
 def test_each_item_is_marked_exactly_once(trait, drop, add, message):
     rubric = writing_rubric() if trait else poker_rubric()
     full = full_marks(rubric)
@@ -220,6 +250,18 @@ def test_each_item_is_marked_exactly_once(trait, drop, add, message):
     with pytest.raises(MarkSheetError) as caught:
         score(rubric, marks)
     assert str(caught.value) == message
+
+
+def test_unknown_names_are_listed_briefly():
+    rubric = writing_rubric()
+    sheet = parse_marks("".join(
+        f'level "{t.name}" 3\n' for t in rubric.traits) + "".join(
+        f'level "unknown trait {i}" 3\n' for i in range(3000)))
+    with pytest.raises(MarkSheetError) as caught:
+        score(rubric, sheet)
+    message = str(caught.value)
+    assert message.endswith("'unknown trait 2' and 2997 more")
+    assert len(message.encode()) < 300
 
 
 class TestParseMarks:

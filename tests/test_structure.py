@@ -146,8 +146,10 @@ def test_cli_start_does_not_import_the_process_pool():
 
 # A command loads only the modules it runs: a graph command no deck or hand
 # code, a poker command no graph or rubric code.  No command loads
-# dataclasses, whose import brings inspect, ast and dis, or a process pool.
-NEVER_LOADED = {"dataclasses", "inspect", "concurrent.futures"}
+# dataclasses, whose import brings inspect, ast and dis, a process pool, or
+# fractions, which only the `fraction`, `total` and `maximum` properties
+# import.
+NEVER_LOADED = {"dataclasses", "inspect", "concurrent.futures", "fractions"}
 TRAIT_RUBRIC = 'rubric trait T\ntrait "t"\n' + "".join(
     f'level {k} "l{k}"\n' for k in range(1, 6))
 
@@ -155,15 +157,20 @@ TRAIT_RUBRIC = 'rubric trait T\ntrait "t"\n' + "".join(
 @pytest.mark.parametrize("argv, unwanted", [
     (["graph", "analyze", str(SRC / "data" / "konigsberg.graph")],
      {"parlorproofs.deck", "parlorproofs.hands", "parlorproofs.oracle",
-      "parlorproofs.rubric", "fractions"}),
+      "parlorproofs.rubric"}),
     (["poker", "count", "full-house"],
+     {"parlorproofs.graphs", "parlorproofs.rubric", "parlorproofs.oracle"}),
+    (["poker", "winner", "A=flush", "B=pair"],
+     {"parlorproofs.graphs", "parlorproofs.rubric", "parlorproofs.oracle"}),
+    (["poker", "proof", "flush"],
      {"parlorproofs.graphs", "parlorproofs.rubric", "parlorproofs.oracle"}),
     (["poker", "verify", "--values", "5", "--suits", "2"],
      {"parlorproofs.graphs", "parlorproofs.rubric"}),
     (["rubric", "score", "RUBRIC", "MARKS"],
      {"parlorproofs.deck", "parlorproofs.hands", "parlorproofs.oracle",
       "parlorproofs.graphs"}),
-], ids=["graph", "poker-count", "poker-verify", "rubric"])
+], ids=["graph", "poker-count", "poker-winner", "poker-proof", "poker-verify",
+        "rubric"])
 def test_command_loads_only_its_modules(argv, unwanted, tmp_path):
     (tmp_path / "RUBRIC").write_text(TRAIT_RUBRIC)
     (tmp_path / "MARKS").write_text('level "t" 3\n')
