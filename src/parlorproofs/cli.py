@@ -10,6 +10,8 @@ Each handler imports the modules it uses, so a command loads no others.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 from typing import Optional, Sequence
@@ -120,7 +122,7 @@ def _poker_winner(args, out) -> int:
         chain = " < ".join(f"{p.count}/{p.total}" for _, _, p in report.ranking)
         print(f"{report.winner} wins ({chain})", file=out)
         return EXIT_OK
-    if report.is_tie:
+    if report.tied:
         print("Tie: " + ", ".join(report.tied), file=out)
         return EXIT_OK
     print("no winner: every entry is impossible in this deck", file=out)
@@ -202,9 +204,13 @@ def _rubric_score(args, out) -> int:
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = _build_parser()
+    # argparse swallows an OSError while printing help, so help is written here.
+    help_text = io.StringIO()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(help_text):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
+        sys.stdout.write(help_text.getvalue())
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args, out)

@@ -54,8 +54,10 @@ def parse_graph(text: str) -> Multigraph:
         if keyword == "vertex":
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected 'vertex <name>'")
-            _check_name(parts[1], lineno)
-            vertices.add(parts[1])
+            name = parts[1]
+            if not name.replace("_", "").isalnum():
+                raise GraphFormatError(f"line {lineno}: bad vertex name {quote(name)}")
+            vertices.add(name)
         elif keyword == "edge":
             if len(parts) not in (3, 4):
                 raise GraphFormatError(
@@ -63,8 +65,8 @@ def parse_graph(text: str) -> Multigraph:
                 )
             u, v = parts[1], parts[2]
             label = parts[3] if len(parts) == 4 else None
+            # Each declared name passed the check on its vertex line.
             for endpoint in (u, v):
-                _check_name(endpoint, lineno)
                 if endpoint == OUTSIDE:
                     vertices.add(OUTSIDE)
                 elif endpoint not in vertices:
@@ -78,22 +80,27 @@ def parse_graph(text: str) -> Multigraph:
     return Multigraph(frozenset(vertices), tuple(edges))
 
 
-def _check_name(name: str, lineno: int) -> None:
-    if not name.replace("_", "").isalnum():
-        raise GraphFormatError(f"line {lineno}: bad vertex name {quote(name)}")
+def _incidence(g: Multigraph) -> dict:
+    """The edges at each vertex, highest id first, so that pop() takes the
+    lowest; a self-loop is listed twice, so a list's length is the degree."""
+    incidence: dict = {v: [] for v in g.vertices}
+    for edge in sorted(g.edges, key=attrgetter("id"), reverse=True):
+        incidence[edge.u].append(edge)
+        incidence[edge.v].append(edge)
+    return incidence
+
+
+def _odd(incidence: dict) -> tuple:
+    return tuple(sorted(v for v, edges in incidence.items() if len(edges) % 2))
 
 
 def degree_map(g: Multigraph) -> dict:
     """Degree per vertex; a self-loop contributes 2."""
-    degrees = {v: 0 for v in g.vertices}
-    for edge in g.edges:
-        degrees[edge.u] += 1
-        degrees[edge.v] += 1
-    return degrees
+    return {v: len(edges) for v, edges in _incidence(g).items()}
 
 
 def odd_vertices(g: Multigraph) -> tuple:
-    return tuple(sorted(v for v, d in degree_map(g).items() if d % 2 == 1))
+    return _odd(_incidence(g))
 
 
 class EulerianStatus(Enum):
@@ -103,42 +110,46 @@ class EulerianStatus(Enum):
     DISCONNECTED = "Disconnected"
 
 
-def _edge_components(g: Multigraph) -> list:
-    """Vertex sets of the components that hold edges; isolated vertices
-    are left out."""
-    adjacency: dict = {}
-    for e in g.edges:
-        adjacency.setdefault(e.u, set()).add(e.v)
-        adjacency.setdefault(e.v, set()).add(e.u)
-    components: list = []
+def _edge_components(incidence: dict) -> list:
+    """The smallest vertex of each component that holds edges, sorted;
+    isolated vertices are left out."""
+    firsts: list = []
     seen: set = set()
-    for root in adjacency:
-        if root in seen:
+    for root, edges in incidence.items():
+        if not edges or root in seen:
             continue
-        component = {root}
-        stack = [root]
-        while stack:
-            fresh = adjacency[stack.pop()] - component
-            component |= fresh
-            stack.extend(fresh)
-        seen |= component
-        components.append(component)
-    return components
+        seen.add(root)
+        component = [root]
+        for vertex in component:  # grows while it is walked
+            for edge in incidence[vertex]:
+                other = edge.v if vertex == edge.u else edge.u
+                if other not in seen:
+                    seen.add(other)
+                    component.append(other)
+        firsts.append(min(component))
+    return sorted(firsts)
+
+
+def _analysis(g: Multigraph) -> tuple:
+    """(status, odd vertices, smallest vertex of each component that holds
+    edges, incidence map) of g; a disconnected graph is DISCONNECTED
+    whatever its degrees."""
+    if g.edge_count == 0:
+        raise DegenerateGraphError("graph has no edges")
+    incidence = _incidence(g)
+    firsts = _edge_components(incidence)
+    odd = _odd(incidence)
+    status = (EulerianStatus.DISCONNECTED if len(firsts) > 1
+              else EulerianStatus.CIRCUIT if not odd
+              else EulerianStatus.OPEN_TRAIL if len(odd) == 2
+              else EulerianStatus.NO_TRAIL)
+    return status, odd, firsts, incidence
 
 
 def eulerian_status(g: Multigraph) -> EulerianStatus:
     """Classify g by connectivity and odd-degree count (isolated vertices
     are ignored)."""
-    if g.edge_count == 0:
-        raise DegenerateGraphError("graph has no edges")
-    if len(_edge_components(g)) > 1:
-        return EulerianStatus.DISCONNECTED
-    odd = len(odd_vertices(g))
-    if odd == 0:
-        return EulerianStatus.CIRCUIT
-    if odd == 2:
-        return EulerianStatus.OPEN_TRAIL
-    return EulerianStatus.NO_TRAIL
+    return _analysis(g)[0]
 
 
 class TrailStep(NamedTuple):
@@ -152,11 +163,8 @@ class Trail(NamedTuple):
     start: str
     end: str
 
-    def vertex_sequence(self) -> tuple:
-        return (self.start,) + tuple(step.to for step in self.steps)
-
     def render_text(self) -> str:
-        return " -> ".join(self.vertex_sequence())
+        return " -> ".join([self.start] + [step.to for step in self.steps])
 
 
 def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
@@ -166,20 +174,10 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
     Deterministic: the walk always takes the unused incident edge with the
     lowest id, and an open trail starts at the smallest-named odd vertex.
     """
-    status = eulerian_status(g)
+    status, odd, firsts, incidence = _analysis(g)
     if status not in (EulerianStatus.CIRCUIT, EulerianStatus.OPEN_TRAIL):
         return status
-
-    incidence: dict = {v: [] for v in g.vertices}
-    for edge in g.edges:
-        incidence[edge.u].append(edge)
-        if edge.v != edge.u:
-            incidence[edge.v].append(edge)
-    for lists in incidence.values():
-        lists.sort(key=attrgetter("id"), reverse=True)  # pop() takes lowest id
-
-    odd = odd_vertices(g)
-    start = odd[0] if odd else min(v for v, lists in incidence.items() if lists)
+    start = odd[0] if odd else firsts[0]
 
     # Hierholzer: a vertex leaves the stack once its edges are used up, and
     # the edge it arrived by is the trail's next step, read backwards.
@@ -214,11 +212,10 @@ def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",
     the connectivity argument when it is DISCONNECTED; the step order is
     claim, model, counts, reduction, lemma, observation, contradiction, qed.
     """
-    status = eulerian_status(g)
+    status, odd, firsts, _ = _analysis(g)
     if status in (EulerianStatus.CIRCUIT, EulerianStatus.OPEN_TRAIL):
         return status
     if status is EulerianStatus.NO_TRAIL:
-        odd = odd_vertices(g)
         argument = (
             ProofStep(StepKind.LEMMA,
                       "Except possibly for its beginning and ending vertices, "
@@ -235,7 +232,6 @@ def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",
                       f"and no such route exists."),
         )
     else:  # DISCONNECTED
-        firsts = sorted(min(c) for c in _edge_components(g))
         argument = (
             ProofStep(StepKind.LEMMA,
                       "Consecutive edges of a trail T share a vertex, so all "

@@ -255,10 +255,6 @@ class WinnerReport(NamedTuple):
     excluded: tuple
     ranking: tuple  # (name, category, Probability), best first
 
-    @property
-    def is_tie(self) -> bool:
-        return len(self.tied) > 1
-
 
 def determine_winner(entries: Iterable, spec: DeckSpec) -> WinnerReport:
     """Apply the rule that the hand with the lowest probability wins."""

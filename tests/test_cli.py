@@ -364,7 +364,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     ["poker", "count", "--all"],
     ["graph", "analyze", str(SRC / "parlorproofs" / "data" / "konigsberg.graph")],
     ["rubric", "score", "RUBRIC", "MARKS"],
-], ids=["poker", "graph", "rubric"])
+    ["--help"],
+    ["poker", "--help"],
+    ["poker", "count", "--help"],
+], ids=["poker", "graph", "rubric", "help-top", "help-group", "help-command"])
 def test_closed_stdout_exits_quietly(argv, unbuffered, tmp_path):
     (tmp_path / "RUBRIC").write_text(fixture_text("writing_rubric.rubric"))
     (tmp_path / "MARKS").write_text(

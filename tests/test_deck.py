@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                                InvalidDeckError, STANDARD_DECK, Wild, binomial,
                                parse_card, parse_hand)
-from parlorproofs.errors import MAX_DIGITS
+from parlorproofs.errors import MAX_DIGITS, InputError
 
 # Standard value tokens in the 1..13 order, ace highest; T spells 10.
 STANDARD_VALUES = dict(zip("2 3 4 5 6 7 8 9 10 J Q K A".split(), range(1, 14)),
@@ -145,6 +145,16 @@ class TestParseHand:
     def test_wrong_count_rejected(self):
         with pytest.raises(CardParseError):
             parse_hand("AS KS QS JS")
+
+    @pytest.mark.parametrize("values, got", [
+        ((), 0), ((1, 2, 3, 4), 4), ((1, 2, 3, 4, 5, 6), 6),
+        ((1, 1, 2, 3, 4), 4),
+    ], ids=["empty", "four", "six", "repeated-card"])
+    def test_built_directly_from_other_than_five_cards(self, values, got):
+        with pytest.raises(InputError) as caught:
+            Hand(Card(v, 1) for v in values)
+        assert str(caught.value) == \
+            f"a hand holds exactly 5 distinct cards, got {got}"
 
 
 class TestBinomial:

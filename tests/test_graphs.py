@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parlorproofs import graphs
 from parlorproofs.fixtures import cat_and_mouse_graph, konigsberg_graph
 from parlorproofs.graphs import (DegenerateGraphError, Edge, EulerianStatus,
                                  GraphFormatError, Multigraph, Trail,
@@ -67,6 +68,22 @@ class TestParseGraph:
     def test_unknown_directive(self):
         with pytest.raises(GraphFormatError, match="node"):
             parse_graph("node A\n")
+
+    # A name is checked on its vertex line; an edge may name only declared
+    # vertices and `outside`, so a malformed name there is undeclared.
+    @pytest.mark.parametrize("text, message", [
+        ("vertex\n", "line 1: expected 'vertex <name>'"),
+        ("vertex A B\n", "line 1: expected 'vertex <name>'"),
+        ("vertex A\nvertex B-C\n", "line 2: bad vertex name 'B-C'"),
+        ("vertex _\n", "line 1: bad vertex name '_'"),
+        ("vertex A\nedge A B-C\n",
+         "line 2: edge references undeclared vertex 'B-C'"),
+    ], ids=["vertex-no-name", "vertex-two-names", "bad-name", "underscore",
+            "bad-name-on-edge"])
+    def test_refusals_name_their_line(self, text, message):
+        with pytest.raises(GraphFormatError) as caught:
+            parse_graph(text)
+        assert str(caught.value) == message
 
     def test_empty_edge_list_parses(self):
         g = parse_graph("vertex A\nvertex B\n")
@@ -148,6 +165,30 @@ class TestFindTrail:
         first = find_trail(g)
         assert all(find_trail(g) == first for _ in range(5))
 
+    # The walk takes the unused edge with the lowest id; an open trail starts
+    # at the smallest-named odd vertex, a circuit at the smallest vertex that
+    # has edges.
+    @pytest.mark.parametrize("g, edge_ids, route", [
+        (graph_from_edges([("A", "B"), ("A", "A"), ("B", "A"), ("B", "B"),
+                           ("A", "B"), ("B", "C"), ("C", "A")]),
+         (1, 3, 2, 5, 4, 6, 7), "A -> B -> A -> A -> B -> B -> C -> A"),
+        (Multigraph(frozenset("ABC"), (Edge(3, "A", "B"), Edge(1, "B", "C"),
+                                       Edge(2, "A", "C"), Edge(4, "A", "B"))),
+         (2, 1, 3, 4), "A -> C -> B -> A -> B"),
+        (graph_from_edges([("A", "B"), ("B", "C"), ("C", "A"), ("C", "D"),
+                           ("D", "B")]),
+         (1, 3, 2, 5, 4), "B -> A -> C -> B -> D -> C"),
+        (graph_from_edges([("C", "D"), ("D", "B"), ("B", "C"), ("D", "E"),
+                           ("E", "D")], extra_vertices=["A"]),
+         (2, 4, 5, 1, 3), "B -> D -> E -> D -> C -> B"),
+    ], ids=["parallel-edges-and-loops", "ids-out-of-order",
+            "open-at-smallest-odd", "circuit-at-smallest-with-edges"])
+    def test_trail_rule(self, g, edge_ids, route):
+        trail = find_trail(g)
+        assert tuple(step.edge_id for step in trail.steps) == edge_ids
+        assert trail.render_text() == route
+        assert_valid_trail(trail, g)
+
     def test_self_loops_are_traversed(self):
         g = graph_from_edges([("A", "A"), ("A", "B"), ("B", "B"), ("B", "A")])
         trail = find_trail(g)
@@ -166,6 +207,25 @@ class TestFindTrail:
             assert_valid_trail(trail, g)
             assert {trail.start, trail.end} == set(odd_vertices(g))
             found += 1
+
+
+# Each public graph call derives its facts once: one incidence map and one
+# component search.
+@pytest.mark.parametrize("g", [cycle4(), path2(), konigsberg_graph(),
+                               two_triangles()],
+                         ids=["circuit", "open-trail", "no-trail",
+                              "disconnected"])
+@pytest.mark.parametrize("solve", [eulerian_status, find_trail,
+                                   impossibility_proof])
+def test_one_analysis_per_call(g, solve, monkeypatch):
+    calls = {"_incidence": 0, "_edge_components": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(graphs, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(graphs, name, counted)
+    solve(g)
+    assert calls == {"_incidence": 1, "_edge_components": 1}
 
 
 def random_multigraph(rng, max_vertices=8, max_edges=16):

@@ -273,6 +273,13 @@ class TestCounts:
         with pytest.raises(WildCardsUnsupportedError):
             probability(HandCategory.PAIR, DeckSpec(wilds=1))
 
+    @pytest.mark.parametrize("category, quoted", [
+        ("pair", "'pair'"), (None, "None")], ids=["slug", "none"])
+    def test_unknown_category_refused(self, category, quoted):
+        with pytest.raises(InputError) as caught:
+            count_category(category, STANDARD_DECK)
+        assert str(caught.value) == f"unknown category {quoted}"
+
     def test_straight_count_at_a_billion_values(self):
         V = 10 ** 9
         assert count_category(HandCategory.STRAIGHT, DeckSpec(values=V)) \

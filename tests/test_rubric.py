@@ -95,9 +95,13 @@ class TestLoadRubric:
          "line 4: trait 't' must define levels 1..5"),
         ('rubric trait R\ntrait "t"\nlevel 1 "a"\n',
          "line end: trait 't' must define levels 1..5"),
+        ('rubric trait R\n' + 2 * ('trait "t"\n' + "".join(
+            f'level {k} "d"\n' for k in range(1, 6))),
+         "duplicate trait name"),
     ], ids=["point-before-any", "trait-before-any", "point-unrecognized",
             "trait-unrecognized", "line-error-before-level-error",
-            "trait-duplicate-level", "trait-missing-level", "trait-at-end"])
+            "trait-duplicate-level", "trait-missing-level", "trait-at-end",
+            "trait-duplicate-name"])
     def test_error_order_of_both_kinds(self, text, message):
         with pytest.raises(RubricFormatError) as caught:
             load_rubric(text)
@@ -239,9 +243,12 @@ def _edited(pairs, drop=(), add=()):
     (True, ["Assignment Requirements", "Quality of Details"],
      [("Assignment Requirements", 7)],
      "missing level for trait 'Quality of Details'"),
+    # parse_marks admits only levels 1..5; a hand-built sheet may not.
+    (True, ["Reasoning (proof)"], [("Reasoning (proof)", 0)],
+     "level 0 for 'Reasoning (proof)' outside 1..5"),
 ], ids=["point-duplicate", "point-missing", "point-unknown",
         "trait-duplicate", "trait-missing", "trait-unknown",
-        "trait-unknown-many", "trait-order"])
+        "trait-unknown-many", "trait-order", "trait-level-range"])
 def test_each_item_is_marked_exactly_once(trait, drop, add, message):
     rubric = writing_rubric() if trait else poker_rubric()
     full = full_marks(rubric)
@@ -249,6 +256,18 @@ def test_each_item_is_marked_exactly_once(trait, drop, add, message):
              else MarkSheet(_edited(full.awards_hp, drop, add), ()))
     with pytest.raises(MarkSheetError) as caught:
         score(rubric, marks)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("trait, message", [
+    (False, "trait levels given for a point rubric"),
+    (True, "point awards given for a trait rubric"),
+], ids=["point", "trait"])
+def test_marks_of_the_other_kind_are_refused(trait, message):
+    rubric, other = ((writing_rubric(), poker_rubric()) if trait
+                     else (poker_rubric(), writing_rubric()))
+    with pytest.raises(MarkSheetError) as caught:
+        score(rubric, full_marks(other))
     assert str(caught.value) == message
 
 
