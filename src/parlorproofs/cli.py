@@ -159,22 +159,24 @@ def _parse_file(path: str, parse):
         raise InputError(f"{path}: {exc}")
 
 
-def _graph_status_line(g, status) -> str:
+def _graph_status_line(g, status, odd=None) -> str:
+    """The line that states status; `odd`, the odd vertices of g, is found
+    here when the line names them and the caller has not."""
     from .graphs import EulerianStatus, odd_vertices
-    odd = odd_vertices(g)
     if status is EulerianStatus.CIRCUIT:
         return "Circuit: every vertex has even degree"
+    if status is EulerianStatus.DISCONNECTED:
+        return "Disconnected: edges span more than one component"
+    odd = odd if odd is not None else odd_vertices(g)
     if status is EulerianStatus.OPEN_TRAIL:
         return f"OpenTrail: odd-degree vertices {odd[0]} and {odd[1]}"
-    if status is EulerianStatus.NO_TRAIL:
-        return f"NoTrail: {len(odd)} vertices of odd degree"
-    return "Disconnected: edges span more than one component"
+    return f"NoTrail: {len(odd)} vertices of odd degree"
 
 
 def _graph_analyze(args, out) -> int:
     from . import graphs
     g = _parse_file(args.file, graphs.parse_graph)
-    print(_graph_status_line(g, graphs.eulerian_status(g)), file=out)
+    print(_graph_status_line(g, *graphs.status_and_odd_vertices(g)), file=out)
     return EXIT_OK
 
 

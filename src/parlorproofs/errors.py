@@ -24,8 +24,10 @@ class InputError(ValueError):
 def content_lines(text: str) -> Iterator[tuple]:
     """(line number, line) for each line of `text` that is not blank once
     its `#` comment is cut off and it is stripped; lines count from 1."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:  # a line without a comment builds no list
+            line = line[:line.index("#")]
+        line = line.strip()
         if line:
             yield lineno, line
 

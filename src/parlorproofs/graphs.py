@@ -7,6 +7,7 @@ plan and bridge map inputs use a line-oriented text format (see parse_graph).
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from typing import NamedTuple, Optional, Union
 
@@ -24,11 +25,19 @@ class DegenerateGraphError(InputError):
     """Eulerian analysis needs at least one edge."""
 
 
+class UnknownVertexError(InputError):
+    """An edge of a graph built in code joins a vertex the graph lacks."""
+
+
 class Edge(NamedTuple):
     id: int
     u: str
     v: str
     label: Optional[str] = None
+
+
+# Builds an Edge from a 4-tuple without NamedTuple's Python-level __new__.
+_new_edge = partial(tuple.__new__, Edge)
 
 
 class Multigraph(NamedTuple):
@@ -51,14 +60,7 @@ def parse_graph(text: str) -> Multigraph:
     for lineno, line in content_lines(text):
         parts = line.split()
         keyword = parts[0].lower()
-        if keyword == "vertex":
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: expected 'vertex <name>'")
-            name = parts[1]
-            if not name.replace("_", "").isalnum():
-                raise GraphFormatError(f"line {lineno}: bad vertex name {quote(name)}")
-            vertices.add(name)
-        elif keyword == "edge":
+        if keyword == "edge":  # most lines of a graph are edge lines
             if len(parts) not in (3, 4):
                 raise GraphFormatError(
                     f"line {lineno}: expected 'edge <name1> <name2> [label]'"
@@ -66,15 +68,23 @@ def parse_graph(text: str) -> Multigraph:
             u, v = parts[1], parts[2]
             label = parts[3] if len(parts) == 4 else None
             # Each declared name passed the check on its vertex line.
-            for endpoint in (u, v):
-                if endpoint == OUTSIDE:
-                    vertices.add(OUTSIDE)
-                elif endpoint not in vertices:
-                    raise GraphFormatError(
-                        f"line {lineno}: edge references undeclared vertex "
-                        f"{quote(endpoint)}"
-                    )
-            edges.append(Edge(len(edges) + 1, u, v, label))
+            if not (u in vertices and v in vertices):
+                for endpoint in (u, v):
+                    if endpoint == OUTSIDE:
+                        vertices.add(OUTSIDE)
+                    elif endpoint not in vertices:
+                        raise GraphFormatError(
+                            f"line {lineno}: edge references undeclared "
+                            f"vertex {quote(endpoint)}"
+                        )
+            edges.append(_new_edge((len(edges) + 1, u, v, label)))
+        elif keyword == "vertex":
+            if len(parts) != 2:
+                raise GraphFormatError(f"line {lineno}: expected 'vertex <name>'")
+            name = parts[1]
+            if not name.replace("_", "").isalnum():
+                raise GraphFormatError(f"line {lineno}: bad vertex name {quote(name)}")
+            vertices.add(name)
         else:
             raise GraphFormatError(f"line {lineno}: unknown directive {quote(keyword)}")
     return Multigraph(frozenset(vertices), tuple(edges))
@@ -84,9 +94,14 @@ def _incidence(g: Multigraph) -> dict:
     """The edges at each vertex, highest id first, so that pop() takes the
     lowest; a self-loop is listed twice, so a list's length is the degree."""
     incidence: dict = {v: [] for v in g.vertices}
-    for edge in sorted(g.edges, key=attrgetter("id"), reverse=True):
-        incidence[edge.u].append(edge)
-        incidence[edge.v].append(edge)
+    try:
+        for edge in sorted(g.edges, key=attrgetter("id"), reverse=True):
+            incidence[edge.u].append(edge)
+            incidence[edge.v].append(edge)
+    except KeyError as exc:
+        raise UnknownVertexError(
+            f"edge {edge.id} joins {quote(exc.args[0])}, which is not a "
+            f"vertex of the graph") from None
     return incidence
 
 
@@ -152,10 +167,18 @@ def eulerian_status(g: Multigraph) -> EulerianStatus:
     return _analysis(g)[0]
 
 
+def status_and_odd_vertices(g: Multigraph) -> tuple:
+    """(eulerian_status(g), odd_vertices(g)), from one analysis."""
+    return _analysis(g)[:2]
+
+
 class TrailStep(NamedTuple):
     edge_id: int
     frm: str
     to: str
+
+
+_new_step = partial(tuple.__new__, TrailStep)  # as _new_edge builds an Edge
 
 
 class Trail(NamedTuple):
@@ -179,24 +202,29 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
         return status
     start = odd[0] if odd else firsts[0]
 
-    # Hierholzer: a vertex leaves the stack once its edges are used up, and
-    # the edge it arrived by is the trail's next step, read backwards.
+    # Hierholzer: the walk so far is a stack of (from vertex, edge id)
+    # pairs.  When the current vertex's edges are used up, the edge it was
+    # reached by is the trail's next step, read backwards.
     used: set = set()
-    stack: list = [(start, None)]
+    stack: list = []
     steps: list = []
-    while stack:
-        vertex, arrived = stack[-1]
+    vertex = start
+    while True:
         lists = incidence[vertex]
         while lists and lists[-1].id in used:
             lists.pop()
         if lists:
             edge = lists.pop()
-            used.add(edge.id)
-            stack.append((edge.v if vertex == edge.u else edge.u, edge))
+            edge_id = edge.id
+            used.add(edge_id)
+            stack.append((vertex, edge_id))
+            vertex = edge.v if vertex == edge.u else edge.u
+        elif stack:
+            frm, edge_id = stack.pop()
+            steps.append(_new_step((edge_id, frm, vertex)))
+            vertex = frm
         else:
-            stack.pop()
-            if arrived is not None:
-                steps.append(TrailStep(arrived.id, stack[-1][0], vertex))
+            break
     steps.reverse()
     return Trail(tuple(steps), start, steps[-1].to)
 

@@ -391,11 +391,10 @@ _TERMS = dict(zip(HandCategory, (  # in HandCategory order
 
 def _count_terms(category: HandCategory, spec: DeckSpec) -> list:
     """Choice-step factorizations per category; count = sum of term products."""
-    try:
-        terms = _TERMS[category]
-    except KeyError:
-        raise InputError(f"unknown category {quote(category)}") from None
-    return terms(spec.values, spec.suits, _run_count(spec))
+    # HandCategory is an IntEnum, so a plain int or bool would find a term.
+    if not isinstance(category, HandCategory):
+        raise InputError(f"unknown category {quote(category)}")
+    return _TERMS[category](spec.values, spec.suits, _run_count(spec))
 
 
 def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument:

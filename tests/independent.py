@@ -117,6 +117,46 @@ def trail_exists_backtracking(edge_pairs) -> bool:
     return any(extend(s, frozenset()) for s in starts)
 
 
+def lowest_id_trail(vertices, edges):
+    """The Eulerian trail under the lowest-id rule, as (edge id, from, to)
+    steps, or None when the edges admit no trail.  `edges` holds (id, u, v)
+    triples with distinct ids.
+
+    The rule: a trail starts at the smallest vertex of odd degree, or at the
+    smallest vertex with an edge when none is odd, and always leaves by the
+    unused edge of lowest id.  A vertex whose edges are used up closes a
+    detour, so each step is recorded as the recursion returns (Hierholzer,
+    1873) and the list is read backwards.
+    """
+    degree = {w: 0 for w in vertices}
+    for _, u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    odd = sorted(w for w in degree if degree[w] % 2 == 1)
+    touched = sorted(w for w in degree if degree[w] > 0)
+    if not touched or len(odd) not in (0, 2):
+        return None
+    used = set()
+    backwards = []
+
+    def leave(vertex):
+        while True:
+            exits = [e for e in edges
+                     if e[0] not in used and vertex in (e[1], e[2])]
+            if not exits:
+                return
+            eid, u, v = min(exits)
+            used.add(eid)
+            nxt = v if vertex == u else u
+            leave(nxt)
+            backwards.append((eid, vertex, nxt))
+
+    leave(odd[0] if odd else touched[0])
+    if len(backwards) < len(edges):  # some edge lies in another component
+        return None
+    return backwards[::-1]
+
+
 def suit_orbit_count(values: int, suits: int, size: int) -> int:
     """Number of classes of `size`-card sets of a values x suits deck under
     the suit relabelings.  Each set, as a sorted tuple of (value, suit)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from parlorproofs import graphs
 from parlorproofs.cli import run
 from parlorproofs.fixtures import fixture_text
 
@@ -174,6 +175,25 @@ class TestGraphCommands:
         code, out = invoke("graph", "analyze", cycle_file)
         assert code == 0
         assert out.startswith("Circuit")
+
+    # `graph analyze` takes the status and the odd vertices from one
+    # analysis; a negative answer finds the odd vertices again only when
+    # its line names them, as NoTrail and OpenTrail do and Circuit does not.
+    @pytest.mark.parametrize("command, file, builds", [
+        ("analyze", "konigsberg_file", 1), ("analyze", "cycle_file", 1),
+        ("proof", "cycle_file", 1), ("trail", "konigsberg_file", 2),
+    ], ids=["analyze-no-trail", "analyze-circuit", "proof-circuit",
+            "trail-no-trail"])
+    def test_incidence_builds(self, command, file, builds, request,
+                              monkeypatch):
+        calls = []
+
+        def counted(g, _real=graphs._incidence):
+            calls.append(g)
+            return _real(g)
+        monkeypatch.setattr(graphs, "_incidence", counted)
+        invoke("graph", command, request.getfixturevalue(file))
+        assert len(calls) == builds
 
     def test_trail_on_cycle(self, cycle_file):
         code, out = invoke("graph", "trail", cycle_file)

@@ -7,11 +7,13 @@ from parlorproofs import graphs
 from parlorproofs.fixtures import cat_and_mouse_graph, konigsberg_graph
 from parlorproofs.graphs import (DegenerateGraphError, Edge, EulerianStatus,
                                  GraphFormatError, Multigraph, Trail,
-                                 degree_map, eulerian_status, find_trail,
-                                 impossibility_proof, odd_vertices, parse_graph)
+                                 UnknownVertexError, degree_map,
+                                 eulerian_status, find_trail,
+                                 impossibility_proof, odd_vertices,
+                                 parse_graph, status_and_odd_vertices)
 from parlorproofs.proofdoc import StepKind
 
-from independent import trail_exists_backtracking
+from independent import lowest_id_trail, trail_exists_backtracking
 
 
 def graph_from_edges(pairs, extra_vertices=()):
@@ -78,12 +80,31 @@ class TestParseGraph:
         ("vertex _\n", "line 1: bad vertex name '_'"),
         ("vertex A\nedge A B-C\n",
          "line 2: edge references undeclared vertex 'B-C'"),
+        ("vertex A\nedge X Y\n",
+         "line 2: edge references undeclared vertex 'X'"),
+        ("vertex A\nedge outside X\n",
+         "line 2: edge references undeclared vertex 'X'"),
+        ("VERTEX A\nEdge A Z\n",
+         "line 2: edge references undeclared vertex 'Z'"),
     ], ids=["vertex-no-name", "vertex-two-names", "bad-name", "underscore",
-            "bad-name-on-edge"])
+            "bad-name-on-edge", "both-ends-undeclared",
+            "outside-then-undeclared", "keywords-in-any-case"])
     def test_refusals_name_their_line(self, text, message):
         with pytest.raises(GraphFormatError) as caught:
             parse_graph(text)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("text, vertices, edges", [
+        ("vertex X\nedge X outside\n", {"X", "outside"},
+         (Edge(1, "X", "outside"),)),
+        ("VERTEX A\nVertex B\nEDGE A B\neDgE B A door\n", {"A", "B"},
+         (Edge(1, "A", "B"), Edge(2, "B", "A", "door"))),
+    ], ids=["declared-then-outside", "keywords-in-any-case"])
+    def test_accepted_edge_lines(self, text, vertices, edges):
+        g = parse_graph(text)
+        assert g.vertices == vertices
+        assert g.edges == edges
+        assert all(type(edge) is Edge for edge in g.edges)
 
     def test_empty_edge_list_parses(self):
         g = parse_graph("vertex A\nvertex B\n")
@@ -216,7 +237,8 @@ class TestFindTrail:
                          ids=["circuit", "open-trail", "no-trail",
                               "disconnected"])
 @pytest.mark.parametrize("solve", [eulerian_status, find_trail,
-                                   impossibility_proof])
+                                   impossibility_proof,
+                                   status_and_odd_vertices])
 def test_one_analysis_per_call(g, solve, monkeypatch):
     calls = {"_incidence": 0, "_edge_components": 0}
     for name in calls:
@@ -226,6 +248,22 @@ def test_one_analysis_per_call(g, solve, monkeypatch):
         monkeypatch.setattr(graphs, name, counted)
     solve(g)
     assert calls == {"_incidence": 1, "_edge_components": 1}
+
+
+# A graph built in code may name, in an edge, a vertex it does not hold;
+# every call that reads the edges refuses it, naming the edge and the vertex.
+@pytest.mark.parametrize("solve", [degree_map, odd_vertices, eulerian_status,
+                                   find_trail, impossibility_proof])
+@pytest.mark.parametrize("edges, message", [
+    ((Edge(1, "A", "B"),),
+     "edge 1 joins 'B', which is not a vertex of the graph"),
+    ((Edge(1, "A", "A"), Edge(7, "Z", "A")),
+     "edge 7 joins 'Z', which is not a vertex of the graph"),
+], ids=["second-end", "first-end"])
+def test_edge_to_a_missing_vertex_is_refused(solve, edges, message):
+    with pytest.raises(UnknownVertexError) as caught:
+        solve(Multigraph(frozenset({"A"}), edges))
+    assert str(caught.value) == message
 
 
 def random_multigraph(rng, max_vertices=8, max_edges=16):
@@ -267,6 +305,38 @@ class TestEulerEquivalence:
         assert has_trail == (
             eulerian_status(g) in (EulerianStatus.CIRCUIT,
                                    EulerianStatus.OPEN_TRAIL))
+
+
+@st.composite
+def trail_graphs(draw):
+    """Multigraphs with loops, parallel edges and isolated vertices: a walk,
+    so that most have a trail, plus a few edges anywhere; ids run from 1 in
+    order, or are distinct and shuffled, with the edges in any order."""
+    names = st.sampled_from("ABCDEF")
+    walk = draw(st.lists(names, min_size=2, max_size=12))
+    pairs = list(zip(walk, walk[1:]))
+    pairs += draw(st.lists(st.tuples(names, names), max_size=3))
+    if draw(st.booleans()):
+        ids = draw(st.permutations(range(1, 3 * len(pairs) + 1)))
+        edges = [Edge(i, u, v) for i, (u, v) in zip(ids, pairs)]
+        edges = draw(st.permutations(edges))
+    else:
+        edges = [Edge(i, u, v) for i, (u, v) in enumerate(pairs, start=1)]
+    vertices = {w for pair in pairs for w in pair}
+    vertices |= draw(st.sets(st.sampled_from("GHXYZ"), max_size=2))
+    return Multigraph(frozenset(vertices), tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trail_graphs())
+def test_trails_equal_an_independent_hierholzer(g):
+    expected = lowest_id_trail(g.vertices, [(e.id, e.u, e.v) for e in g.edges])
+    trail = find_trail(g)
+    if expected is None:
+        assert isinstance(trail, EulerianStatus)
+        return
+    assert [tuple(step) for step in trail.steps] == expected
+    assert (trail.start, trail.end) == (expected[0][1], expected[-1][2])
 
 
 class TestImpossibilityProof:

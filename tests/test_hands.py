@@ -274,11 +274,13 @@ class TestCounts:
             probability(HandCategory.PAIR, DeckSpec(wilds=1))
 
     @pytest.mark.parametrize("category, quoted", [
-        ("pair", "'pair'"), (None, "None")], ids=["slug", "none"])
+        ("pair", "'pair'"), (None, "None"), (3, "3"), (True, "True")],
+        ids=["slug", "none", "int", "bool"])
     def test_unknown_category_refused(self, category, quoted):
-        with pytest.raises(InputError) as caught:
-            count_category(category, STANDARD_DECK)
-        assert str(caught.value) == f"unknown category {quoted}"
+        for answer in (count_category, probability, combinatorial_proof):
+            with pytest.raises(InputError) as caught:
+                answer(category, STANDARD_DECK)
+            assert str(caught.value) == f"unknown category {quoted}"
 
     def test_straight_count_at_a_billion_values(self):
         V = 10 ** 9
