@@ -148,11 +148,13 @@ def _poker_proof(args, out) -> int:
     return EXIT_OK
 
 
-def _parse_file(path: str, parse):
-    """parse(text of the UTF-8 file at path); errors name the path."""
+def _parse_file(path: str, parse, answer=None):
+    """parse(text of the UTF-8 file at path), or that and answer(it) as a
+    pair when answer is given; errors name the path."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse(handle.read())
+            parsed = parse(handle.read())
+        return parsed if answer is None else (parsed, answer(parsed))
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
     except InputError as exc:
@@ -175,8 +177,9 @@ def _graph_status_line(g, status, odd=None) -> str:
 
 def _graph_analyze(args, out) -> int:
     from . import graphs
-    g = _parse_file(args.file, graphs.parse_graph)
-    print(_graph_status_line(g, *graphs.status_and_odd_vertices(g)), file=out)
+    g, (status, odd) = _parse_file(args.file, graphs.parse_graph,
+                                   graphs.status_and_odd_vertices)
+    print(_graph_status_line(g, status, odd), file=out)
     return EXIT_OK
 
 
@@ -184,10 +187,9 @@ def _graph_answer(args, out) -> int:
     """`graph trail` prints a trail and `graph proof` a proof that none
     exists; when there is no such answer, the status that rules it out."""
     from . import graphs
-    g = _parse_file(args.file, graphs.parse_graph)
     solve = (graphs.find_trail if args.command == "trail"
              else graphs.impossibility_proof)
-    answer = solve(g)
+    g, answer = _parse_file(args.file, graphs.parse_graph, solve)
     if isinstance(answer, graphs.EulerianStatus):
         print(_graph_status_line(g, answer), file=out)
         return EXIT_NEGATIVE

@@ -6,9 +6,10 @@ plan and bridge map inputs use a line-oriented text format (see parse_graph).
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .errors import InputError, content_lines, quote
@@ -105,17 +106,29 @@ def _incidence(g: Multigraph) -> dict:
     return incidence
 
 
-def _odd(incidence: dict) -> tuple:
-    return tuple(sorted(v for v, edges in incidence.items() if len(edges) % 2))
+def _degrees(g: Multigraph) -> Counter:
+    """The degree of each vertex that has an edge (a self-loop counts 2),
+    counted in two passes over the edges that run in C."""
+    degrees = Counter(map(itemgetter(1), g.edges))
+    degrees.update(map(itemgetter(2), g.edges))
+    if not degrees.keys() <= g.vertices:
+        _incidence(g)  # raises the UnknownVertexError that names the edge
+    return degrees
+
+
+def _odd(degrees) -> tuple:
+    """The vertices of odd degree, sorted, from (vertex, degree) pairs."""
+    return tuple(sorted(v for v, degree in degrees if degree % 2))
 
 
 def degree_map(g: Multigraph) -> dict:
     """Degree per vertex; a self-loop contributes 2."""
-    return {v: len(edges) for v, edges in _incidence(g).items()}
+    degrees = _degrees(g)
+    return {v: degrees[v] for v in g.vertices}
 
 
 def odd_vertices(g: Multigraph) -> tuple:
-    return _odd(_incidence(g))
+    return _odd(_degrees(g).items())
 
 
 class EulerianStatus(Enum):
@@ -125,40 +138,38 @@ class EulerianStatus(Enum):
     DISCONNECTED = "Disconnected"
 
 
-def _edge_components(incidence: dict) -> list:
+def _edge_components(g: Multigraph, degrees: Counter) -> list:
     """The smallest vertex of each component that holds edges, sorted;
-    isolated vertices are left out."""
-    firsts: list = []
-    seen: set = set()
-    for root, edges in incidence.items():
-        if not edges or root in seen:
-            continue
-        seen.add(root)
-        component = [root]
-        for vertex in component:  # grows while it is walked
-            for edge in incidence[vertex]:
-                other = edge.v if vertex == edge.u else edge.u
-                if other not in seen:
-                    seen.add(other)
-                    component.append(other)
-        firsts.append(min(component))
-    return sorted(firsts)
+    isolated vertices are left out.  A union-find over the edges (Tarjan
+    1975, with path halving) keeps each set's smallest name as its root."""
+    parent = dict(zip(degrees, degrees))
+    for edge in g.edges:
+        u, v = edge.u, edge.v
+        while u != (up := parent[u]):
+            parent[u] = u = parent[up]
+        while v != (vp := parent[v]):
+            parent[v] = v = parent[vp]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    return sorted(v for v, root in parent.items() if v == root)
 
 
 def _analysis(g: Multigraph) -> tuple:
     """(status, odd vertices, smallest vertex of each component that holds
-    edges, incidence map) of g; a disconnected graph is DISCONNECTED
-    whatever its degrees."""
-    if g.edge_count == 0:
+    edges) of g; a disconnected graph is DISCONNECTED whatever its
+    degrees."""
+    if not g.edges:
         raise DegenerateGraphError("graph has no edges")
-    incidence = _incidence(g)
-    firsts = _edge_components(incidence)
-    odd = _odd(incidence)
+    degrees = _degrees(g)
+    odd = _odd(degrees.items())
+    firsts = _edge_components(g, degrees)
     status = (EulerianStatus.DISCONNECTED if len(firsts) > 1
               else EulerianStatus.CIRCUIT if not odd
               else EulerianStatus.OPEN_TRAIL if len(odd) == 2
               else EulerianStatus.NO_TRAIL)
-    return status, odd, firsts, incidence
+    return status, odd, firsts
 
 
 def eulerian_status(g: Multigraph) -> EulerianStatus:
@@ -197,10 +208,11 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
     Deterministic: the walk always takes the unused incident edge with the
     lowest id, and an open trail starts at the smallest-named odd vertex.
     """
-    status, odd, firsts, incidence = _analysis(g)
-    if status not in (EulerianStatus.CIRCUIT, EulerianStatus.OPEN_TRAIL):
-        return status
-    start = odd[0] if odd else firsts[0]
+    incidence = _incidence(g)
+    odd = _odd(zip(incidence, map(len, incidence.values())))
+    if len(odd) > 2 or not g.edges:  # no trail, or refused: no edges
+        return eulerian_status(g)
+    start = odd[0] if odd else min(v for v, e in incidence.items() if e)
 
     # Hierholzer: the walk so far is a stack of (from vertex, edge id)
     # pairs.  When the current vertex's edges are used up, the edge it was
@@ -225,6 +237,10 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
             vertex = frm
         else:
             break
+    # With at most two odd vertices, the walk uses every edge of the start's
+    # component; any edge it left lies in another component.
+    if len(steps) < g.edge_count:
+        return EulerianStatus.DISCONNECTED
     steps.reverse()
     return Trail(tuple(steps), start, steps[-1].to)
 
@@ -240,7 +256,7 @@ def impossibility_proof(g: Multigraph, vertex_noun: str = "vertex",
     the connectivity argument when it is DISCONNECTED; the step order is
     claim, model, counts, reduction, lemma, observation, contradiction, qed.
     """
-    status, odd, firsts, _ = _analysis(g)
+    status, odd, firsts = _analysis(g)
     if status in (EulerianStatus.CIRCUIT, EulerianStatus.OPEN_TRAIL):
         return status
     if status is EulerianStatus.NO_TRAIL:

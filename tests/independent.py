@@ -157,6 +157,30 @@ def lowest_id_trail(vertices, edges):
     return backwards[::-1]
 
 
+def edge_components(vertices, edges):
+    """The vertex sets of the components of a multigraph that hold edges,
+    found by breadth-first search from each vertex in turn; `edges` holds
+    (u, v) pairs and isolated vertices are left out."""
+    neighbours = {w: [] for w in vertices}
+    for u, v in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    seen = set()
+    components = []
+    for w in vertices:
+        if w in seen or not neighbours[w]:
+            continue
+        seen.add(w)
+        queue = [w]
+        for x in queue:  # grows while it is read
+            for y in neighbours[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        components.append(set(queue))
+    return components
+
+
 def suit_orbit_count(values: int, suits: int, size: int) -> int:
     """Number of classes of `size`-card sets of a values x suits deck under
     the suit relabelings.  Each set, as a sorted tuple of (value, suit)

@@ -177,23 +177,26 @@ class TestGraphCommands:
         assert out.startswith("Circuit")
 
     # `graph analyze` takes the status and the odd vertices from one
-    # analysis; a negative answer finds the odd vertices again only when
-    # its line names them, as NoTrail and OpenTrail do and Circuit does not.
+    # analysis, which builds no incidence map; a negative answer counts the
+    # degrees again only when its line names the odd vertices, as NoTrail
+    # and OpenTrail do and Circuit does not.
     @pytest.mark.parametrize("command, file, builds", [
-        ("analyze", "konigsberg_file", 1), ("analyze", "cycle_file", 1),
-        ("proof", "cycle_file", 1), ("trail", "konigsberg_file", 2),
+        ("analyze", "konigsberg_file", (1, 1, 0)),
+        ("analyze", "cycle_file", (1, 1, 0)),
+        ("proof", "cycle_file", (1, 1, 0)),
+        ("trail", "konigsberg_file", (2, 1, 1)),
     ], ids=["analyze-no-trail", "analyze-circuit", "proof-circuit",
             "trail-no-trail"])
     def test_incidence_builds(self, command, file, builds, request,
                               monkeypatch):
-        calls = []
-
-        def counted(g, _real=graphs._incidence):
-            calls.append(g)
-            return _real(g)
-        monkeypatch.setattr(graphs, "_incidence", counted)
+        calls = {"_degrees": 0, "_edge_components": 0, "_incidence": 0}
+        for name in calls:
+            def counted(g, *rest, _real=getattr(graphs, name), _name=name):
+                calls[_name] += 1
+                return _real(g, *rest)
+            monkeypatch.setattr(graphs, name, counted)
         invoke("graph", command, request.getfixturevalue(file))
-        assert len(calls) == builds
+        assert tuple(calls.values()) == builds
 
     def test_trail_on_cycle(self, cycle_file):
         code, out = invoke("graph", "trail", cycle_file)
@@ -224,6 +227,26 @@ class TestGraphCommands:
         assert code == 0
         assert "2 connected components" in out
         assert out.rstrip().endswith("∎")
+
+    def test_trail_on_disconnected_graph(self, tmp_path):
+        path = tmp_path / "triangles.graph"
+        path.write_text("vertex A\nvertex B\nvertex C\n"
+                        "vertex D\nvertex E\nvertex F\n"
+                        "edge A B\nedge B C\nedge C A\n"
+                        "edge D E\nedge E F\nedge F D\n")
+        code, out = invoke("graph", "trail", str(path))
+        assert code == 1
+        assert out == "Disconnected: edges span more than one component\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "trail", "proof"])
+    def test_edgeless_file_is_named(self, command, tmp_path, capsys):
+        path = tmp_path / "lonely.graph"
+        path.write_text("vertex A\nvertex B\n")
+        code, out = invoke("graph", command, str(path))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: graph has no edges\n"
 
     def test_missing_file(self):
         code, _ = invoke("graph", "analyze", "/nonexistent.graph")

@@ -13,7 +13,8 @@ from parlorproofs.graphs import (DegenerateGraphError, Edge, EulerianStatus,
                                  parse_graph, status_and_odd_vertices)
 from parlorproofs.proofdoc import StepKind
 
-from independent import lowest_id_trail, trail_exists_backtracking
+from independent import (edge_components, lowest_id_trail,
+                         trail_exists_backtracking)
 
 
 def graph_from_edges(pairs, extra_vertices=()):
@@ -230,24 +231,58 @@ class TestFindTrail:
             found += 1
 
 
-# Each public graph call derives its facts once: one incidence map and one
-# component search.
+    # With at most two odd vertices the walk alone finds a disconnection:
+    # it leaves an edge unused.
+    @pytest.mark.parametrize("pairs", [
+        [("A", "B"), ("B", "C"), ("C", "A"), ("D", "E"), ("E", "F"),
+         ("F", "D")],
+        [("D", "E"), ("E", "F"), ("A", "B"), ("B", "C"), ("C", "A")],
+        [("A", "B"), ("B", "C"), ("C", "A"), ("Z", "Z")],
+        [("A", "A"), ("B", "C"), ("C", "D"), ("D", "B")],
+    ], ids=["two-circuits", "circuit-and-odd-path", "circuit-and-loop",
+            "loop-at-the-start"])
+    @pytest.mark.parametrize("shuffled", [False, True],
+                             ids=["ids-in-order", "ids-shuffled"])
+    def test_walk_detects_disconnection(self, pairs, shuffled):
+        g = graph_from_edges(pairs)
+        if shuffled:  # distinct ids with gaps, edges in another order
+            rng = random.Random(len(pairs))
+            ids = rng.sample(range(1, 3 * len(pairs)), len(pairs))
+            edges = [Edge(i, u, v) for i, (u, v) in zip(ids, pairs)]
+            g = g._replace(edges=tuple(rng.sample(edges, len(edges))))
+        assert len(odd_vertices(g)) <= 2
+        assert find_trail(g) is EulerianStatus.DISCONNECTED
+
+
+# Each public graph call derives only the facts it needs, each at most
+# once.  Degrees and components come from passes over the edges; only
+# find_trail builds the incidence map that it walks, and it searches
+# components only when more than two vertices are odd, for a walk from the
+# start covers every edge exactly when the edges are connected.
 @pytest.mark.parametrize("g", [cycle4(), path2(), konigsberg_graph(),
                                two_triangles()],
                          ids=["circuit", "open-trail", "no-trail",
                               "disconnected"])
 @pytest.mark.parametrize("solve", [eulerian_status, find_trail,
                                    impossibility_proof,
-                                   status_and_odd_vertices])
+                                   status_and_odd_vertices, degree_map,
+                                   odd_vertices])
 def test_one_analysis_per_call(g, solve, monkeypatch):
-    calls = {"_incidence": 0, "_edge_components": 0}
+    many_odd = len(odd_vertices(g)) > 2
+    expected = {  # (_degrees, _edge_components, _incidence) calls
+        degree_map: (1, 0, 0), odd_vertices: (1, 0, 0),
+        eulerian_status: (1, 1, 0), status_and_odd_vertices: (1, 1, 0),
+        impossibility_proof: (1, 1, 0),
+        find_trail: (1, 1, 1) if many_odd else (0, 0, 1),
+    }[solve]
+    calls = {"_degrees": 0, "_edge_components": 0, "_incidence": 0}
     for name in calls:
         def counted(*args, _real=getattr(graphs, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(graphs, name, counted)
     solve(g)
-    assert calls == {"_incidence": 1, "_edge_components": 1}
+    assert tuple(calls.values()) == expected
 
 
 # A graph built in code may name, in an edge, a vertex it does not hold;
@@ -337,6 +372,60 @@ def test_trails_equal_an_independent_hierholzer(g):
         return
     assert [tuple(step) for step in trail.steps] == expected
     assert (trail.start, trail.end) == (expected[0][1], expected[-1][2])
+
+
+@st.composite
+def component_graphs(draw):
+    """Multigraphs of several components, with isolated vertices, loops and
+    parallel edges, on names of one to three letters.  Each component is a
+    path that meets its smallest name on its last edge, plus edges among
+    its other names; ids run from 1 in order, or are distinct and shuffled,
+    and the edges keep that order or any other."""
+    names = draw(st.lists(st.text("abz", min_size=1, max_size=3),
+                          min_size=1, max_size=12, unique=True))
+    cuts = sorted(draw(st.sets(st.integers(1, len(names) - 1), max_size=4))
+                  if len(names) > 1 else [])
+    pairs = []
+    for group in (names[i:j] for i, j in zip([0] + cuts, cuts + [None])):
+        if len(group) > 1 and draw(st.booleans()):
+            group = group[:-1]  # the last name stays isolated
+        smallest = min(group)
+        rest = [w for w in group if w != smallest]
+        if not rest:
+            pairs.append((smallest, smallest))
+            continue
+        path = rest + [smallest]
+        pairs += list(zip(path, path[1:-1]))
+        pairs += draw(st.lists(st.tuples(st.sampled_from(rest),
+                                         st.sampled_from(rest)), max_size=3))
+        pairs.append((path[-2], smallest))
+    if draw(st.booleans()):
+        ids = draw(st.permutations(range(1, 2 * len(pairs) + 1)))
+    else:
+        ids = range(1, len(pairs) + 1)
+    edges = [Edge(i, u, v) for i, (u, v) in zip(ids, pairs)]
+    if draw(st.booleans()):
+        edges = draw(st.permutations(edges))
+    return Multigraph(frozenset(names), tuple(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(component_graphs())
+def test_components_equal_an_independent_search(g):
+    pairs = [(e.u, e.v) for e in g.edges]
+    components = edge_components(sorted(g.vertices), pairs)
+    ends = [w for pair in pairs for w in pair]
+    odd = [w for w in set(ends) if ends.count(w) % 2]
+    expected = (EulerianStatus.DISCONNECTED if len(components) > 1
+                else EulerianStatus.CIRCUIT if not odd
+                else EulerianStatus.OPEN_TRAIL if len(odd) == 2
+                else EulerianStatus.NO_TRAIL)
+    assert eulerian_status(g) is expected
+    if expected is EulerianStatus.DISCONNECTED:
+        firsts = sorted(min(component) for component in components)
+        observation = impossibility_proof(g).steps[5].text
+        assert observation.endswith("one containing each of "
+                                    + ", ".join(firsts) + ".")
 
 
 class TestImpossibilityProof:
