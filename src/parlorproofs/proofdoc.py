@@ -27,9 +27,6 @@ class ProofDocument(NamedTuple):
     title: str
     steps: tuple  # of ProofStep
 
-    def kinds(self) -> tuple:
-        return tuple(step.kind for step in self.steps)
-
     def step_texts(self) -> tuple:
         return tuple(step.text for step in self.steps)
 

@@ -1,12 +1,12 @@
-"""Bundled fixtures: the bridge map, a representative floor plan, and the
-two grading rubrics."""
+"""Loaders for the data files that ship with the package: the bridge map, a
+representative floor plan, and the two grading rubrics."""
 
 from __future__ import annotations
 
 from importlib import resources
 
-from .graphs import Multigraph, parse_graph
-from .rubric import PointRubric, TraitRubric, load_rubric
+from parlorproofs.graphs import Multigraph, parse_graph
+from parlorproofs.rubric import PointRubric, TraitRubric, load_rubric
 
 
 def fixture_text(name: str) -> str:

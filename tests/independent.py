@@ -5,7 +5,7 @@ the classifier works from the category definitions via value-count shapes
 and predicate checks, and the trail search is plain backtracking.
 """
 
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 
 from parlorproofs.deck import AceRule, DeckSpec
 from parlorproofs.hands import HandCategory
@@ -181,13 +181,11 @@ def edge_components(vertices, edges):
     return components
 
 
-def suit_orbit_count(values: int, suits: int, size: int) -> int:
-    """Number of classes of `size`-card sets of a values x suits deck under
-    the suit relabelings.  Each set, as a sorted tuple of (value, suit)
-    pairs, is counted when it is the least of its S! relabelings."""
+def hand_class_count(values: int, suits: int, size: int) -> int:
+    """Number of classes of `size`-card sets of a values x suits deck that
+    no category tells apart: the distinct pairs of (sorted values, whether
+    every card has one suit) over every set."""
     cards = [(v, s) for v in range(1, values + 1) for s in range(1, suits + 1)]
-    relabelings = list(permutations(range(1, suits + 1)))
-    return sum(
-        all(tuple(sorted([(v, p[s - 1]) for v, s in hand])) >= hand
-            for p in relabelings)
-        for hand in combinations(cards, size))
+    return len({(tuple(sorted(v for v, _ in hand)),
+                 len({s for _, s in hand}) == 1)
+                for hand in combinations(cards, size)})

@@ -11,7 +11,6 @@ import pytest
 
 from parlorproofs.deck import (AceRule, Card, DeckSpec, Hand, STANDARD_DECK,
                                Wild)
-from parlorproofs.fixtures import cat_and_mouse_graph, konigsberg_graph
 from parlorproofs.graphs import (EulerianStatus, Trail, eulerian_status,
                                  find_trail, impossibility_proof, odd_vertices)
 from parlorproofs.hands import (HandCategory, classify_with_wilds,
@@ -19,8 +18,8 @@ from parlorproofs.hands import (HandCategory, classify_with_wilds,
 from parlorproofs.oracle import verify_closed_forms
 from parlorproofs.proofdoc import StepKind
 from parlorproofs.rubric import MarkSheet, score
-from parlorproofs.fixtures import poker_rubric
 
+from fixtures import cat_and_mouse_graph, konigsberg_graph, poker_rubric
 from independent import (best_over_substitutions, natural_pairs,
                          trail_exists_backtracking)
 from test_graphs import assert_valid_trail, random_multigraph
@@ -127,7 +126,7 @@ def test_criterion_5_konigsberg_proof():
     ok = ok and len(odd_vertices(g)) == 4
     doc = impossibility_proof(g, vertex_noun="land mass", edge_noun="bridge",
                               place_name="the city")
-    ok = ok and doc.kinds() == (
+    ok = ok and tuple(step.kind for step in doc.steps) == (
         StepKind.CLAIM, StepKind.MODEL, StepKind.COUNT, StepKind.OBSERVATION,
         StepKind.LEMMA, StepKind.OBSERVATION, StepKind.CONTRADICTION,
         StepKind.QED)

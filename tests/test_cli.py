@@ -9,7 +9,8 @@ import pytest
 
 from parlorproofs import graphs
 from parlorproofs.cli import run
-from parlorproofs.fixtures import fixture_text
+
+from fixtures import fixture_text
 
 
 def invoke(*args):

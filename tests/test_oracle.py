@@ -9,13 +9,13 @@ import pytest
 
 from parlorproofs import oracle
 from parlorproofs.deck import AceRule, DeckSpec, STANDARD_DECK, binomial
-from parlorproofs.fixtures import fixture_text
 from parlorproofs.hands import HandCategory, WildCardsUnsupportedError
 from parlorproofs.oracle import (EnumerationCapError, tally_all,
                                  verify_closed_forms)
 
-from independent import (best_over_substitutions, naive_classifier,
-                         natural_pairs, suit_orbit_count)
+from fixtures import fixture_text
+from independent import (best_over_substitutions, hand_class_count,
+                         naive_classifier, natural_pairs)
 
 
 def plain_tally(spec):
@@ -35,6 +35,20 @@ def plain_tally(spec):
             best[held] = best_over_substitutions(held, k, spec)
         tallies[best[held]] += 1
     return tallies
+
+
+# Decks for the plain enumeration.  S = 5 and 6 hold five of a kind; W = 6
+# reaches the all-wild hands; (3, 6, 2), (4, 5, 1) and (2, 6, 3) hold wild
+# hands three or more values deep.  Then every deck of V 1-6, S 1-6 and
+# W 0-4 with at most 2,002 hands: S = 1, where no hand mixes suits, distinct
+# held values with wilds, which reach both the one-suit and the mixed hand
+# of their class, and room for the wilds at every depth.
+PLAIN_SHAPES = [(5, 5, 0), (3, 6, 0), (2, 6, 1), (5, 2, 6), (2, 5, 2),
+                (3, 6, 2), (4, 5, 1), (2, 6, 3)]
+PLAIN_SHAPES += [(v, s, w) for v in range(1, 7) for s in range(1, 7)
+                 for w in range(5)
+                 if 5 <= v * s + w and binomial(v * s + w, 5) <= 2_002
+                 and (v, s, w) not in PLAIN_SHAPES]
 
 
 class TestTallyAll:
@@ -63,14 +77,9 @@ class TestTallyAll:
             tally_all(DeckSpec(values=10 ** 900))
 
     @pytest.mark.parametrize("ace_rule", list(AceRule))
-    @pytest.mark.parametrize("shape", [(5, 5, 0), (3, 6, 0), (2, 6, 1),
-                                       (5, 2, 6), (2, 5, 2), (3, 6, 2),
-                                       (4, 5, 1), (2, 6, 3)],
+    @pytest.mark.parametrize("shape", PLAIN_SHAPES,
                              ids="v{0[0]}s{0[1]}w{0[2]}".format)
     def test_equals_the_plain_enumeration(self, shape, ace_rule):
-        # S = 5 and 6 reach t = 5 suits of the lowest value; W = 6 reaches
-        # the all-wild hands.  The last three split the interchangeable suits
-        # three or more values deep, with wild hands at each depth.
         spec = DeckSpec(*shape, ace_rule=ace_rule)
         assert tally_all(spec) == plain_tally(spec)
 
@@ -94,25 +103,27 @@ class TestTallyAll:
 
     def test_classifies_one_hand_per_suit_choice(self, monkeypatch):
         # One classifier call per class of natural hands, or of natural
-        # (5 - k)-subsets for k = 1..W wilds, under the suit relabelings.
+        # (5 - k)-subsets for k = 1..W wilds: per multiset of values and
+        # per "all in one suit or not".
         V, S, W = 8, 4, 2
         calls = self.classifier_calls(monkeypatch, DeckSpec(V, S, wilds=W))
         assert calls == {
-            "natural": suit_orbit_count(V, S, 5),
-            "wild": sum(suit_orbit_count(V, S, 5 - k) for k in range(1, W + 1)),
+            "natural": hand_class_count(V, S, 5),
+            "wild": sum(hand_class_count(V, S, 5 - k) for k in range(1, W + 1)),
         }
-        assert calls == {"natural": 10_808, "wild": 2_662}
+        assert calls == {"natural": 840, "wild": 576}
 
     def test_standard_deck_classifies_one_hand_per_suit_class(self, monkeypatch):
-        # The standard deck has 134,459 suit-isomorphism classes of 5-card
-        # hands (K. Waugh, "A Fast and Optimal Hand Isomorphism Algorithm",
-        # 2013).
+        # The standard deck's 2,598,960 hands fall into 7,462 classes of
+        # (values, one suit or not); hand_class_count(13, 4, 5) gives the
+        # same number, but takes seconds, so it is pinned here.
         calls = self.classifier_calls(monkeypatch, STANDARD_DECK)
-        assert calls == {"natural": 134_459}
+        assert calls == {"natural": 7_462}
 
     def test_worker_count_does_not_change_results(self):
         for spec in (DeckSpec(values=7, suits=3),
-                     DeckSpec(values=6, suits=3, wilds=2)):
+                     DeckSpec(values=6, suits=3, wilds=2),
+                     DeckSpec(values=4, suits=5, wilds=2)):
             one = tally_all(spec, workers=1)
             for workers in (2, 3, 4):
                 assert tally_all(spec, workers=workers) == one, (spec, workers)

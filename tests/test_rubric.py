@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from parlorproofs.fixtures import fixture_text, poker_rubric, writing_rubric
 from parlorproofs.errors import MAX_DIGITS
 from parlorproofs.rubric import (MarkSheet, MarkSheetError, PointRubric,
                                  RubricFormatError, TraitRubric, load_rubric,
                                  parse_marks, score)
+
+from fixtures import fixture_text, poker_rubric, writing_rubric
 
 
 def full_marks(rubric):
