@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = poker_sub.add_parser("verify", parents=[deck])
     p.set_defaults(handler=_poker_verify)
-    p.add_argument("--workers", type=int, default=1, metavar="N")
     p.add_argument("--csv", action="store_true")
 
     p = poker_sub.add_parser("proof", parents=[deck])
@@ -131,10 +130,7 @@ def _poker_winner(args, out) -> int:
 
 def _poker_verify(args, out) -> int:
     from . import oracle
-    spec = _deck_spec(args)
-    if args.workers < 1:
-        raise InputError(f"--workers must be >= 1, got {args.workers}")
-    report = oracle.verify_closed_forms(spec, workers=args.workers)
+    report = oracle.verify_closed_forms(_deck_spec(args))
     print(report.render_csv() if args.csv else report.render_text(), file=out)
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 

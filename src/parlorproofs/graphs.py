@@ -30,6 +30,10 @@ class UnknownVertexError(InputError):
     """An edge of a graph built in code joins a vertex the graph lacks."""
 
 
+class DuplicateEdgeError(InputError):
+    """A graph built in code holds two edges of one id."""
+
+
 class Edge(NamedTuple):
     id: int
     u: str
@@ -103,6 +107,9 @@ def _incidence(g: Multigraph) -> dict:
         raise UnknownVertexError(
             f"edge {edge.id} joins {quote(exc.args[0])}, which is not a "
             f"vertex of the graph") from None
+    if len(set(map(itemgetter(0), g.edges))) < len(g.edges):
+        (twice, n), = Counter(map(itemgetter(0), g.edges)).most_common(1)
+        raise DuplicateEdgeError(f"{n} edges have the id {twice}")
     return incidence
 
 
@@ -111,8 +118,9 @@ def _degrees(g: Multigraph) -> Counter:
     counted in two passes over the edges that run in C."""
     degrees = Counter(map(itemgetter(1), g.edges))
     degrees.update(map(itemgetter(2), g.edges))
-    if not degrees.keys() <= g.vertices:
-        _incidence(g)  # raises the UnknownVertexError that names the edge
+    if not (degrees.keys() <= g.vertices
+            and len(set(map(itemgetter(0), g.edges))) == len(g.edges)):
+        _incidence(g)  # raises the error that names the edge or the id
     return degrees
 
 
@@ -138,7 +146,7 @@ class EulerianStatus(Enum):
     DISCONNECTED = "Disconnected"
 
 
-def _edge_components(g: Multigraph, degrees: Counter) -> list:
+def _edge_components(g: Multigraph, degrees: dict) -> list:
     """The smallest vertex of each component that holds edges, sorted;
     isolated vertices are left out.  A union-find over the edges (Tarjan
     1975, with path halving) keeps each set's smallest name as its root."""
@@ -156,13 +164,13 @@ def _edge_components(g: Multigraph, degrees: Counter) -> list:
     return sorted(v for v, root in parent.items() if v == root)
 
 
-def _analysis(g: Multigraph) -> tuple:
+def _analysis(g: Multigraph, degrees=None) -> tuple:
     """(status, odd vertices, smallest vertex of each component that holds
-    edges) of g; a disconnected graph is DISCONNECTED whatever its
-    degrees."""
+    edges) of g, given the degrees of the vertices that hold edges or not;
+    a disconnected graph is DISCONNECTED whatever its degrees."""
     if not g.edges:
         raise DegenerateGraphError("graph has no edges")
-    degrees = _degrees(g)
+    degrees = _degrees(g) if degrees is None else degrees
     odd = _odd(degrees.items())
     firsts = _edge_components(g, degrees)
     status = (EulerianStatus.DISCONNECTED if len(firsts) > 1
@@ -211,7 +219,7 @@ def find_trail(g: Multigraph) -> Union[Trail, EulerianStatus]:
     incidence = _incidence(g)
     odd = _odd(zip(incidence, map(len, incidence.values())))
     if len(odd) > 2 or not g.edges:  # no trail, or refused: no edges
-        return eulerian_status(g)
+        return _analysis(g, {v: len(e) for v, e in incidence.items() if e})[0]
     start = odd[0] if odd else min(v for v, e in incidence.items() if e)
 
     # Hierholzer: the walk so far is a stack of (from vertex, edge id)

@@ -30,13 +30,15 @@ tally small decks hand by hand with the former.
 from __future__ import annotations
 
 import os
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .deck import DeckSpec, binomial
 from .errors import InputError, render_int
 from .hands import HandCategory, best_completion, classify_pairs, count_category
 
 ENUMERATION_CAP = 10 ** 8
+# The class bound from which a process pool pays for its start-up.
+POOL_CLASSES = 30_000
 
 
 class EnumerationCapError(InputError):
@@ -78,17 +80,17 @@ def _tally_task(spec: DeckSpec, lowest: range) -> dict:
     return tallies
 
 
-def tally_all(spec: DeckSpec, workers: int = 1) -> dict:
+def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     """Exact per-category tally over all C(deck size, 5) hands.
 
     The hands are walked over multisets of natural values, lowest value
     first, and one hand is classified per multiset and per "all in one
     suit or not", weighted by the suit choices that the class stands for.
-    With workers > 1 each lowest natural value is one task, and whichever
-    pool process is free takes the next; the tasks differ in cost, so no
-    split is planned ahead.  At most min(workers, V, CPU count) processes
-    start; when that is 1 one task walks every value in this process.
-    Results are bit-identical for any worker count.
+    A deck of V values and W wilds has at most B = Σ 2·C(V + 4 - k, 5 - k)
+    classes, k = 0..min(W, 4).  From B = POOL_CLASSES on, whichever of
+    min(V, CPU count, workers) pool processes is free takes the next lowest
+    natural value as a task, since the tasks differ in cost; otherwise one
+    task walks every value in this process.  Results are bit-identical.
     """
     total = binomial(spec.size, 5)
     if total > ENUMERATION_CAP:
@@ -97,17 +99,19 @@ def tally_all(spec: DeckSpec, workers: int = 1) -> dict:
             f"{ENUMERATION_CAP}"
         )
 
-    values = range(1, spec.values + 1)
-    processes = min(workers, len(values), os.cpu_count() or 1)
+    V, W = spec.values, spec.wilds
+    bound = sum(2 * binomial(V + 4 - k, 5 - k) for k in range(min(W, 4) + 1))
+    cpus = (os.cpu_count() or 1) if bound >= POOL_CLASSES else 1
+    processes = min(V, cpus, cpus if workers is None else workers)
     tallies = dict.fromkeys(HandCategory, 0)
     if processes <= 1:
-        parts = [_tally_task(spec, values)]
+        parts = [_tally_task(spec, range(1, V + 1))]
     else:
         # Imported here, so that a run without a pool never pays for it.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            parts = list(pool.map(_tally_task, [spec] * len(values),
-                                  [range(v, v + 1) for v in values]))
+            parts = list(pool.map(_tally_task, [spec] * V,
+                                  [range(v, v + 1) for v in range(1, V + 1)]))
     for part in parts:
         for cat, count in part.items():
             tallies[cat] += count
@@ -157,14 +161,14 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
 
-def verify_closed_forms(spec: DeckSpec, workers: int = 1) -> VerificationReport:
+def verify_closed_forms(spec: DeckSpec) -> VerificationReport:
     """Compare closed-form counts against the enumeration, per category.
 
     The closed forms come first, so a wild deck, which has none, is refused
     before any enumeration.
     """
     closed = [count_category(cat, spec) for cat in HandCategory]
-    tallies = tally_all(spec, workers=workers)
+    tallies = tally_all(spec)
     rows = tuple(
         VerificationRow(cat, count, tallies[cat])
         for cat, count in zip(HandCategory, closed)

@@ -65,7 +65,7 @@ class TestPokerCommands:
     # command until wild decks have closed forms.
     @pytest.mark.parametrize("command, own", [
         ("count", {"--all"}), ("prob", {"--all"}), ("winner", set()),
-        ("verify", {"--workers", "--csv"}), ("proof", set()),
+        ("verify", {"--csv"}), ("proof", set()),
     ])
     def test_help_lists_the_deck_flags(self, command, own, capsys):
         assert invoke("poker", command, "--help") == (0, "")
@@ -115,19 +115,14 @@ class TestPokerCommands:
         assert code == 0
         assert out.splitlines()[0] == "category,closed_form,oracle,status"
 
-    def test_verify_workers_flag(self):
+    # The oracle decides from the deck whether a process pool pays, so no
+    # flag sets a process count.
+    def test_verify_has_no_workers_flag(self, capsys):
         code, out = invoke("poker", "verify", "--values", "5", "--suits", "2",
                            "--workers", "2")
-        assert code == 0
-        assert "overall: PASS" in out
-
-    @pytest.mark.parametrize("n", ["0", "-3"])
-    def test_verify_workers_below_one_is_a_usage_error(self, n, capsys):
-        code, out = invoke("poker", "verify", "--values", "5", "--suits", "2",
-                           "--workers", n)
         assert code == 2
         assert out == ""
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_proof_document(self):
         code, out = invoke("poker", "proof", "full-house")
@@ -178,14 +173,15 @@ class TestGraphCommands:
         assert out.startswith("Circuit")
 
     # `graph analyze` takes the status and the odd vertices from one
-    # analysis, which builds no incidence map; a negative answer counts the
-    # degrees again only when its line names the odd vertices, as NoTrail
-    # and OpenTrail do and Circuit does not.
+    # analysis, which builds no incidence map.  `graph trail` takes the
+    # components from its own incidence map, and a negative answer counts
+    # the degrees only when its line names the odd vertices, as NoTrail and
+    # OpenTrail do and Circuit does not.
     @pytest.mark.parametrize("command, file, builds", [
         ("analyze", "konigsberg_file", (1, 1, 0)),
         ("analyze", "cycle_file", (1, 1, 0)),
         ("proof", "cycle_file", (1, 1, 0)),
-        ("trail", "konigsberg_file", (2, 1, 1)),
+        ("trail", "konigsberg_file", (1, 1, 1)),
     ], ids=["analyze-no-trail", "analyze-circuit", "proof-circuit",
             "trail-no-trail"])
     def test_incidence_builds(self, command, file, builds, request,

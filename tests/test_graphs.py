@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parlorproofs import graphs
-from parlorproofs.graphs import (DegenerateGraphError, Edge, EulerianStatus,
-                                 GraphFormatError, Multigraph, Trail,
+from parlorproofs.graphs import (DegenerateGraphError, DuplicateEdgeError,
+                                 Edge, EulerianStatus, GraphFormatError,
+                                 Multigraph, Trail,
                                  UnknownVertexError, degree_map,
                                  eulerian_status, find_trail,
                                  impossibility_proof, odd_vertices,
@@ -257,8 +258,9 @@ class TestFindTrail:
 # Each public graph call derives only the facts it needs, each at most
 # once.  Degrees and components come from passes over the edges; only
 # find_trail builds the incidence map that it walks, and it searches
-# components only when more than two vertices are odd, for a walk from the
-# start covers every edge exactly when the edges are connected.
+# components, among the vertices of that map that hold edges, only when
+# more than two vertices are odd, for a walk from the start covers every
+# edge exactly when the edges are connected.
 @pytest.mark.parametrize("g", [cycle4(), path2(), konigsberg_graph(),
                                two_triangles()],
                          ids=["circuit", "open-trail", "no-trail",
@@ -273,7 +275,7 @@ def test_one_analysis_per_call(g, solve, monkeypatch):
         degree_map: (1, 0, 0), odd_vertices: (1, 0, 0),
         eulerian_status: (1, 1, 0), status_and_odd_vertices: (1, 1, 0),
         impossibility_proof: (1, 1, 0),
-        find_trail: (1, 1, 1) if many_odd else (0, 0, 1),
+        find_trail: (0, 1, 1) if many_odd else (0, 0, 1),
     }[solve]
     calls = {"_degrees": 0, "_edge_components": 0, "_incidence": 0}
     for name in calls:
@@ -298,6 +300,22 @@ def test_one_analysis_per_call(g, solve, monkeypatch):
 def test_edge_to_a_missing_vertex_is_refused(solve, edges, message):
     with pytest.raises(UnknownVertexError) as caught:
         solve(Multigraph(frozenset({"A"}), edges))
+    assert str(caught.value) == message
+
+
+# Two edges of one id would be walked as one edge; every call that reads
+# the edges refuses them, naming the id, whether or not a trail could exist.
+@pytest.mark.parametrize("solve", [degree_map, odd_vertices, eulerian_status,
+                                   find_trail, impossibility_proof])
+@pytest.mark.parametrize("edges, message", [
+    ((Edge(1, "A", "B"), Edge(1, "B", "A"), Edge(2, "A", "B")),
+     "2 edges have the id 1"),
+    ((Edge(4, "A", "B"), Edge(2, "A", "C"), Edge(2, "A", "D")),
+     "2 edges have the id 2"),
+], ids=["open-trail", "no-trail"])
+def test_two_edges_of_one_id_are_refused(solve, edges, message):
+    with pytest.raises(DuplicateEdgeError) as caught:
+        solve(Multigraph(frozenset("ABCD"), edges))
     assert str(caught.value) == message
 
 
@@ -421,6 +439,8 @@ def test_components_equal_an_independent_search(g):
                 else EulerianStatus.OPEN_TRAIL if len(odd) == 2
                 else EulerianStatus.NO_TRAIL)
     assert eulerian_status(g) is expected
+    if expected in (EulerianStatus.NO_TRAIL, EulerianStatus.DISCONNECTED):
+        assert find_trail(g) is expected
     if expected is EulerianStatus.DISCONNECTED:
         firsts = sorted(min(component) for component in components)
         observation = impossibility_proof(g).steps[5].text

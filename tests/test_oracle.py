@@ -120,7 +120,9 @@ class TestTallyAll:
         calls = self.classifier_calls(monkeypatch, STANDARD_DECK)
         assert calls == {"natural": 7_462}
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # With the bound lowered, these small decks start real processes.
+        monkeypatch.setattr(oracle, "POOL_CLASSES", 0)
         for spec in (DeckSpec(values=7, suits=3),
                      DeckSpec(values=6, suits=3, wilds=2),
                      DeckSpec(values=4, suits=5, wilds=2)):
@@ -128,7 +130,10 @@ class TestTallyAll:
             for workers in (2, 3, 4):
                 assert tally_all(spec, workers=workers) == one, (spec, workers)
 
-    def test_pool_is_bounded_by_cpus_and_natural_cards(self, monkeypatch):
+    @pytest.fixture
+    def requested_pools(self, monkeypatch):
+        """The process counts of the pools tally_all asks for; each pool
+        runs its tasks in this process, on a machine of 3 CPUs."""
         requested = []
 
         class InProcessPool:
@@ -148,13 +153,35 @@ class TestTallyAll:
                             InProcessPool)
         # A fixed CPU count keeps the expected pool sizes machine-independent.
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        return requested
+
+    def test_pool_is_bounded_by_cpus_and_natural_cards(self, requested_pools,
+                                                       monkeypatch):
+        monkeypatch.setattr(oracle, "POOL_CLASSES", 0)
         for spec, pools in ((DeckSpec(values=6, suits=3, wilds=2), [3]),
                             (DeckSpec(values=2, suits=2, wilds=3), [2]),
                             (DeckSpec(values=1, suits=1, wilds=4), [])):
-            requested.clear()
+            requested_pools.clear()
             one = tally_all(spec, workers=1)
-            assert tally_all(spec, workers=10 ** 6) == one, spec
-            assert requested == pools, spec
+            assert tally_all(spec) == one, spec
+            assert requested_pools == pools, spec
+
+    # The deck's class bound, the sum over k = 0..min(W, 4) of
+    # 2·C(V + 4 - k, 5 - k), decides: every benchmark deck stays in one
+    # process, and a deck whose bound reaches POOL_CLASSES gets a pool.
+    @pytest.mark.parametrize("spec, pools", [
+        (DeckSpec(values=5, suits=3), []),
+        (DeckSpec(values=9, suits=4), []),
+        (STANDARD_DECK, []),
+        (DeckSpec(values=13, suits=4, wilds=3), []),
+        (DeckSpec(values=16, suits=6), [3]),
+    ], ids=["5x3-bound-252", "9x4-bound-2574", "standard-bound-12376",
+            "13x4-w3-bound-17108", "16x6-bound-31008"])
+    def test_the_class_bound_decides_the_pool(self, spec, pools,
+                                              requested_pools):
+        tallies = tally_all(spec)
+        assert sum(tallies.values()) == binomial(spec.size, 5)
+        assert requested_pools == pools
 
     def test_hundred_wilds_tally_at_once(self):
         spec = DeckSpec(values=5, suits=1, wilds=100)

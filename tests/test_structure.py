@@ -81,6 +81,30 @@ def test_only_errors_splits_lines(path):
                 f"{path.name}:{node.lineno} calls splitlines"
 
 
+def _spelled_names(node) -> list:
+    """The module, imported, attribute or variable names that one node of
+    a module's tree spells out."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return ([alias.name for alias in node.names]
+                + [getattr(node, "module", None) or ""])
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return [node.id] if isinstance(node, ast.Name) else []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "oracle.py"],
+    ids=lambda p: p.name)
+def test_only_the_oracle_sizes_a_process_pool(path):
+    # tally_all alone decides, from the deck, whether a pool pays and how
+    # many processes it has; no other module names a pool or a CPU count.
+    for node in ast.walk(_tree(path)):
+        for name in _spelled_names(node):
+            assert name not in ("ProcessPoolExecutor", "cpu_count") \
+                and not name.startswith("concurrent"), \
+                f"{path.name}:{node.lineno} names {name}"
+
+
 @pytest.mark.parametrize("parse, good", [
     (parse_graph, "vertex A"),
     (load_rubric, "rubric trait T"),
