@@ -43,8 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("count", "prob"):
         p = poker_sub.add_parser(name, parents=[deck])
         p.set_defaults(handler=_poker_count)
-        p.add_argument("category", nargs="?", metavar="CATEGORY")
-        p.add_argument("--all", action="store_true", dest="all_categories")
+        one = p.add_mutually_exclusive_group()
+        one.add_argument("category", nargs="?", metavar="CATEGORY")
+        one.add_argument("--all", action="store_true", dest="all_categories")
 
     p = poker_sub.add_parser("winner", parents=[deck])
     p.set_defaults(handler=_poker_winner)

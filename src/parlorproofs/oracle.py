@@ -19,8 +19,9 @@ well; the C(W, 5) all-wild hands are added once.  Natural hands are
 classified by `hands.classify_pairs`, the classifier behind `classify`, and
 wild hands by `hands.best_completion`.  Every weight counts suit choices and
 wild subsets, never a closed form.
-In one process a single task walks every lowest value; in a process pool
-each lowest value is a task, taken by whichever worker is free.
+`tally_all` measures the work by the deck's class bound B alone: B above
+ENUMERATION_CAP refuses the deck, and from B = POOL_CLASSES on each lowest
+value is a task of a process pool, taken by whichever worker is free.
 The tallies check the closed forms in `hands`; the classifiers themselves
 are checked by `tests/independent.py` and `bench/reference.py`, which share
 no code with the library, and the assumption above by the tests, which
@@ -34,15 +35,17 @@ from typing import NamedTuple, Optional
 
 from .deck import DeckSpec, binomial
 from .errors import InputError, render_int
-from .hands import HandCategory, best_completion, classify_pairs, count_category
+from .hands import (HandCategory, best_completion, classify_pairs,
+                    count_category, require_printable)
 
-ENUMERATION_CAP = 10 ** 8
-# The class bound from which a process pool pays for its start-up.
+# Class bounds: the largest walked (under 4 s in one process), and the
+# least from which a process pool pays for its start-up.
+ENUMERATION_CAP = 2_200_000
 POOL_CLASSES = 30_000
 
 
 class EnumerationCapError(InputError):
-    """The deck's hand count exceeds ENUMERATION_CAP."""
+    """The deck's class bound B exceeds ENUMERATION_CAP."""
 
 
 def _tally_task(spec: DeckSpec, lowest: range) -> dict:
@@ -87,23 +90,20 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     first, and one hand is classified per multiset and per "all in one
     suit or not", weighted by the suit choices that the class stands for.
     A deck of V values and W wilds has at most B = Σ 2·C(V + 4 - k, 5 - k)
-    classes, k = 0..min(W, 4).  From B = POOL_CLASSES on, whichever of
-    min(V, CPU count, workers) pool processes is free takes the next lowest
-    natural value as a task, since the tasks differ in cost; otherwise one
-    task walks every value in this process.  Results are bit-identical.
+    classes, k = 0..min(W, 4); it is refused when B exceeds ENUMERATION_CAP.
+    From B = POOL_CLASSES on, whichever of min(V, CPU count, workers) pool
+    processes is free takes the next lowest natural value as a task, since
+    the tasks differ in cost; otherwise one task walks every value in this
+    process.  Results are bit-identical.
     """
-    total = binomial(spec.size, 5)
-    if total > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"enumerating {render_int(total)} hands exceeds the cap of "
-            f"{ENUMERATION_CAP}"
-        )
-
     V, W = spec.values, spec.wilds
     bound = sum(2 * binomial(V + 4 - k, 5 - k) for k in range(min(W, 4) + 1))
+    if bound > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"the deck's class bound B = {render_int(bound)} exceeds the cap "
+            f"of {ENUMERATION_CAP}")
     cpus = (os.cpu_count() or 1) if bound >= POOL_CLASSES else 1
     processes = min(V, cpus, cpus if workers is None else workers)
-    tallies = dict.fromkeys(HandCategory, 0)
     if processes <= 1:
         parts = [_tally_task(spec, range(1, V + 1))]
     else:
@@ -112,9 +112,7 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_tally_task, [spec] * V,
                                   [range(v, v + 1) for v in range(1, V + 1)]))
-    for part in parts:
-        for cat, count in part.items():
-            tallies[cat] += count
+    tallies = {cat: sum(part[cat] for part in parts) for cat in HandCategory}
     if spec.wilds >= 5:  # the hands without a natural card
         tallies[best_completion((), 5, spec)] += binomial(spec.wilds, 5)
     return tallies
@@ -164,9 +162,10 @@ class VerificationReport(NamedTuple):
 def verify_closed_forms(spec: DeckSpec) -> VerificationReport:
     """Compare closed-form counts against the enumeration, per category.
 
-    The closed forms come first, so a wild deck, which has none, is refused
-    before any enumeration.
+    A deck too large to print is refused first, then a wild deck, which
+    has no closed forms, both before any enumeration.
     """
+    require_printable(spec)
     closed = [count_category(cat, spec) for cat in HandCategory]
     tallies = tally_all(spec)
     rows = tuple(

@@ -46,6 +46,17 @@ class TestPokerCommands:
         assert len(out.strip().splitlines()) == 10
         assert "royal-flush: 4" in out
 
+    @pytest.mark.parametrize("command", ["count", "prob"])
+    def test_category_with_all_is_a_usage_error(self, command, capsys):
+        code, out = invoke("poker", command, "--all", "pair")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with argument --all" in capsys.readouterr().err
+
+    def test_count_needs_a_category_or_all(self, capsys):
+        assert invoke("poker", "count") == (2, "")
+        assert "give a CATEGORY or --all" in capsys.readouterr().err
+
     def test_prob_shows_exact_rationals(self):
         code, out = invoke("poker", "prob", "full-house")
         assert code == 0
@@ -114,6 +125,20 @@ class TestPokerCommands:
                            "--csv")
         assert code == 0
         assert out.splitlines()[0] == "category,closed_form,oracle,status"
+
+    def test_verify_a_million_suits(self):
+        # Suits add weight to the walk, not classes.
+        code, out = invoke("poker", "verify", "--values", "13", "--suits",
+                           "1000000")
+        assert code == 0
+        assert "overall: PASS" in out
+
+    def test_verify_refuses_past_the_class_bound(self, capsys):
+        code, out = invoke("poker", "verify", "--values", "100", "--suits",
+                           "1")
+        assert code == 2
+        assert out == ""
+        assert "class bound B = 183925040 exceeds" in capsys.readouterr().err
 
     # The oracle decides from the deck whether a process pool pays, so no
     # flag sets a process count.

@@ -84,13 +84,19 @@ _ENTRY = st.one_of(st.tuples(st.text(max_size=4), st.just("="), _SLUG)
 
 @st.composite
 def _poker_argv(draw):
-    command = draw(st.sampled_from(["count", "prob", "winner", "proof"]))
-    flags = ["--values", draw(_INT), "--suits", draw(_INT),
+    command = draw(st.sampled_from(["count", "prob", "winner", "proof",
+                                    "verify"]))
+    # The oracle's work grows with V and not with S, so verify draws V from
+    # -2 to 14 and S like the other commands.
+    values = st.integers(-2, 14).map(str) if command == "verify" else _INT
+    flags = ["--values", draw(values), "--suits", draw(_INT),
              "--ace", draw(st.sampled_from(["both", "high"]))]
     if command in ("count", "prob"):
-        rest = draw(st.one_of(st.just(["--all"]), st.lists(_SLUG, max_size=1)))
+        rest = draw(st.lists(st.one_of(st.just("--all"), _SLUG), max_size=2))
     elif command == "winner":
         rest = draw(st.lists(_ENTRY, min_size=1, max_size=3))
+    elif command == "verify":
+        rest = draw(st.lists(st.just("--csv"), max_size=1))
     else:
         rest = [draw(_SLUG)]
     return ["poker", command] + flags + rest
@@ -101,7 +107,6 @@ def _run_quietly(argv):
         return run(argv, out=io.StringIO())
 
 
-# Verify is left out: it enumerates the deck, so its cost grows with V*S.
 @settings(max_examples=100, deadline=None)
 @given(argv=_poker_argv())
 def test_poker_commands_exit_0_1_or_2(argv):

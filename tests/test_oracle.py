@@ -9,7 +9,8 @@ import pytest
 
 from parlorproofs import oracle
 from parlorproofs.deck import AceRule, DeckSpec, STANDARD_DECK, binomial
-from parlorproofs.hands import HandCategory, WildCardsUnsupportedError
+from parlorproofs.hands import (DeckTooLargeError, HandCategory,
+                                WildCardsUnsupportedError)
 from parlorproofs.oracle import (EnumerationCapError, tally_all,
                                  verify_closed_forms)
 
@@ -35,6 +36,16 @@ def plain_tally(spec):
             best[held] = best_over_substitutions(held, k, spec)
         tallies[best[held]] += 1
     return tallies
+
+
+def class_bound(values, wilds):
+    """The walk's class bound, counted here: twice the multisets of 5 - k of
+    the deck's values (in one suit or not), summed over k = 0..min(W, 4)."""
+    multisets = [1, 0, 0, 0, 0, 0]  # of each size, over the values so far
+    for _ in range(values):
+        for size in range(1, 6):
+            multisets[size] += multisets[size - 1]
+    return sum(2 * multisets[5 - k] for k in range(min(wilds, 4) + 1))
 
 
 # Decks for the plain enumeration.  S = 5 and 6 hold five of a kind; W = 6
@@ -66,15 +77,42 @@ class TestTallyAll:
         assert sum(tally_all(spec).values()) == binomial(11, 5)
 
     def test_cap_refusal_names_the_required_count(self):
-        # C(200, 5) hands, refused before any enumeration.
-        with pytest.raises(EnumerationCapError, match="2535650040"):
+        # 200 values bound 2·C(204, 5) classes, refused before any walk.
+        assert class_bound(200, 0) == 5_604_700_080
+        with pytest.raises(EnumerationCapError, match="B = 5604700080 "):
             tally_all(DeckSpec(values=200, suits=1))
 
     def test_cap_refusal_on_a_count_too_long_to_print(self):
-        # C(4 * 10**900, 5) has more digits than CPython converts to str.
+        # 2·C(10**900 + 4, 5) has more digits than CPython converts to str.
         with pytest.raises(EnumerationCapError,
-                           match="a number of about 45[0-9][0-9] digits"):
+                           match="a number of about 449[0-9] digits"):
             tally_all(DeckSpec(values=10 ** 900))
+
+    def test_cap_counts_classes_not_hands(self, monkeypatch):
+        # A cap at the standard deck's bound admits it, and refuses one more
+        # value or one wild.
+        monkeypatch.setattr(oracle, "ENUMERATION_CAP", 12_376)
+        assert sum(tally_all(STANDARD_DECK).values()) == binomial(52, 5)
+        for spec, bound in ((DeckSpec(values=14, suits=4), 17_136),
+                            (DeckSpec(values=13, suits=4, wilds=1), 16_016)):
+            assert class_bound(spec.values, spec.wilds) == bound
+            with pytest.raises(EnumerationCapError,
+                               match=f"B = {bound} exceeds the cap of 12376"):
+                tally_all(spec)
+
+    def test_cap_admits_the_readme_deck(self):
+        assert class_bound(40, 0) == 2_172_016 <= oracle.ENUMERATION_CAP
+
+    def test_one_suit_deck_refused_before_any_classifier_call(self,
+                                                              monkeypatch):
+        # 75,287,520 hands, each a class of its own, under B = 2·C(104, 5).
+        def unreachable(*args):
+            raise AssertionError("classifier called")
+
+        monkeypatch.setattr(oracle, "classify_pairs", unreachable)
+        monkeypatch.setattr(oracle, "best_completion", unreachable)
+        with pytest.raises(EnumerationCapError, match="B = 183925040 "):
+            tally_all(DeckSpec(values=100, suits=1))
 
     @pytest.mark.parametrize("ace_rule", list(AceRule))
     @pytest.mark.parametrize("shape", PLAIN_SHAPES,
@@ -241,6 +279,21 @@ class TestVerifyClosedForms:
     def test_wild_deck_refused(self):
         with pytest.raises(WildCardsUnsupportedError):
             verify_closed_forms(DeckSpec(wilds=1))
+
+    def test_deck_too_large_to_print_refused(self):
+        # Its class bound is the standard deck's, but no count would print.
+        with pytest.raises(DeckTooLargeError):
+            verify_closed_forms(DeckSpec(values=13, suits=10 ** 900))
+
+    # The walk's cost does not grow with S, so the closed forms are checked
+    # at suit counts far past five: every C(S, ·) factor, and the five of a
+    # kind term of four of a kind.
+    @pytest.mark.parametrize("ace_rule", list(AceRule))
+    @pytest.mark.parametrize("suits", [5, 8, 100, 10 ** 6])
+    def test_many_suits_pass(self, suits, ace_rule):
+        for values in range(1, 14):
+            spec = DeckSpec(values, suits, ace_rule=ace_rule)
+            assert verify_closed_forms(spec).passed, spec
 
     def test_csv_rows(self):
         report = verify_closed_forms(DeckSpec(values=5, suits=2))
