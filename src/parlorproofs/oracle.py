@@ -90,7 +90,8 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     first, and one hand is classified per multiset and per "all in one
     suit or not", weighted by the suit choices that the class stands for.
     A deck of V values and W wilds has at most B = Σ 2·C(V + 4 - k, 5 - k)
-    classes, k = 0..min(W, 4); it is refused when B exceeds ENUMERATION_CAP.
+    classes, k = 0..min(W, 4); it is refused when B exceeds ENUMERATION_CAP,
+    and then when its counts could not be printed (`require_printable`).
     From B = POOL_CLASSES on, whichever of min(V, CPU count, workers) pool
     processes is free takes the next lowest natural value as a task, since
     the tasks differ in cost; otherwise one task walks every value in this
@@ -102,8 +103,10 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
         raise EnumerationCapError(
             f"the deck's class bound B = {render_int(bound)} exceeds the cap "
             f"of {ENUMERATION_CAP}")
+    require_printable(spec)  # the classes' weights grow with S and W
     cpus = (os.cpu_count() or 1) if bound >= POOL_CLASSES else 1
     processes = min(V, cpus, cpus if workers is None else workers)
+    tallies = dict.fromkeys(HandCategory, 0)
     if processes <= 1:
         parts = [_tally_task(spec, range(1, V + 1))]
     else:
@@ -112,7 +115,9 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_tally_task, [spec] * V,
                                   [range(v, v + 1) for v in range(1, V + 1)]))
-    tallies = {cat: sum(part[cat] for part in parts) for cat in HandCategory}
+    for part in parts:
+        for cat, count in part.items():
+            tallies[cat] += count
     if spec.wilds >= 5:  # the hands without a natural card
         tallies[best_completion((), 5, spec)] += binomial(spec.wilds, 5)
     return tallies

@@ -103,16 +103,29 @@ class TestTallyAll:
     def test_cap_admits_the_readme_deck(self):
         assert class_bound(40, 0) == 2_172_016 <= oracle.ENUMERATION_CAP
 
-    def test_one_suit_deck_refused_before_any_classifier_call(self,
-                                                              monkeypatch):
-        # 75,287,520 hands, each a class of its own, under B = 2·C(104, 5).
+    @pytest.fixture
+    def no_classifier(self, monkeypatch):
         def unreachable(*args):
             raise AssertionError("classifier called")
 
         monkeypatch.setattr(oracle, "classify_pairs", unreachable)
         monkeypatch.setattr(oracle, "best_completion", unreachable)
+
+    def test_one_suit_deck_refused_before_any_classifier_call(
+            self, no_classifier):
+        # 75,287,520 hands, each a class of its own, under B = 2·C(104, 5).
         with pytest.raises(EnumerationCapError, match="B = 183925040 "):
             tally_all(DeckSpec(values=100, suits=1))
+
+    # Their bound is the standard deck's, but every class weighs C(S, a)
+    # or C(W, k) of about 900 digits, and no count would print.
+    @pytest.mark.parametrize("spec", [DeckSpec(values=13, suits=10 ** 900),
+                                      DeckSpec(wilds=10 ** 900)],
+                             ids=["suits", "wilds"])
+    def test_deck_too_large_to_print_refused_before_any_classifier_call(
+            self, no_classifier, spec):
+        with pytest.raises(DeckTooLargeError):
+            tally_all(spec)
 
     @pytest.mark.parametrize("ace_rule", list(AceRule))
     @pytest.mark.parametrize("shape", PLAIN_SHAPES,
