@@ -4,24 +4,25 @@ apart.
 
 The one assumption: a category depends on the suits only through whether
 all the natural cards share one suit.  So a hand's class is its multiset of
-natural values together with that one bit.  The walk takes the values in
-ascending order, starting from the lowest: a node holds value x in its
-first a suits, for C(S, a) suit choices, and its `ways` is the product of
-those choices over its values.  A complete hand, or one short of at most W
-cards, is classified once per class.  When its values are all distinct,
-the all-suit-1 cards stand for the S one-suit choices, and the same cards
-with the lowest in suit 2 for the other ways - S; otherwise its own cards
-stand for all its ways.  The standard deck makes 7,462 classifier calls
-instead of 2,598,960.
-A hand holding k of the W wilds is a natural (5-k)-subset met on that walk
-together with any of C(W, k) wild k-subsets, so it is weighted by C(W, k) as
-well; the C(W, 5) all-wild hands are added once.  Natural hands are
-classified by `hands.classify_pairs`, the classifier behind `classify`, and
-wild hands by `hands.best_completion`.  Every weight counts suit choices and
-wild subsets, never a closed form.
+natural values together with that one bit.  A class splits into R, its
+repeated values, each value x held a times in suits 1..a for C(S, a) suit
+choices, and T, its values held once, in suit 1.  A Python loop walks R:
+its lowest value p with its count a, and maybe a higher q with its count b;
+`itertools.combinations` draws T from the values outside R, and `map`
+hands each class to a classifier, each of one stream's hands standing for
+the same Π C(S, a)·S^|T| ways.  With no value repeated, the all-suit-1
+cards stand for the S one-suit choices, and the same cards with the lowest
+in suit 2 for the other S^n - S.  The standard deck makes 7,462 classifier
+calls instead of 2,598,960.
+A hand holding k of the W wilds is a natural (5-k)-subset so drawn together
+with any of C(W, k) wild k-subsets, so it is weighted by C(W, k) as well;
+the C(W, 5) all-wild hands are added once.  Natural hands are classified by
+`hands.classify_pairs`, the classifier behind `classify`, and wild hands by
+`hands.best_completion`.  Every weight counts suit choices and wild
+subsets, never a closed form.
 `tally_all` measures the work by the deck's class bound B alone: B above
-ENUMERATION_CAP refuses the deck, and from B = POOL_CLASSES on each lowest
-value is a task of a process pool, taken by whichever worker is free.
+ENUMERATION_CAP refuses the deck, and from B = POOL_CLASSES on each value
+p is a task of a process pool, taken by whichever worker is free.
 The tallies check the closed forms in `hands`; the classifiers themselves
 are checked by `tests/independent.py` and `bench/reference.py`, which share
 no code with the library, and the assumption above by the tests, which
@@ -31,6 +32,8 @@ tally small decks hand by hand with the former.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from itertools import chain, combinations, repeat
 from typing import NamedTuple, Optional
 
 from .deck import DeckSpec, binomial
@@ -38,10 +41,10 @@ from .errors import InputError, render_int
 from .hands import (HandCategory, best_completion, classify_pairs,
                     count_category, require_printable)
 
-# Class bounds: the largest walked (under 4 s in one process), and the
+# Class bounds: the largest walked (under 3 s in one process), and the
 # least from which a process pool pays for its start-up.
 ENUMERATION_CAP = 2_200_000
-POOL_CLASSES = 30_000
+POOL_CLASSES = 50_000
 
 
 class EnumerationCapError(InputError):
@@ -49,53 +52,63 @@ class EnumerationCapError(InputError):
 
 
 def _tally_task(spec: DeckSpec, lowest: range) -> dict:
-    """Tally the hands whose lowest natural value is in `lowest`, one
-    classifier call per class of hands."""
+    """Tally the hands whose lowest repeated natural value, or with none
+    repeated their lowest, is in `lowest`, one classifier call per class."""
     V, S, W = spec.values, spec.suits, spec.wilds
     tallies = dict.fromkeys(HandCategory, 0)
-    wild_ways = [binomial(W, k) for k in range(6)]
-    # holds[x]: value x held in suits 1..a, with its C(S, a) suit choices,
-    # for a = 1..min(S, 5).
-    holds = [[(tuple([(x, s) for s in range(1, a + 1)]), binomial(S, a))
-              for a in range(1, min(S, 5) + 1)] for x in range(V + 1)]
-    # Each node holds the cards of its values, the highest u; `single` says
-    # that every value is held once.
-    nodes = [(cards, v, ways, len(cards) == 1)
-             for v in lowest for cards, ways in holds[v]]
-    while nodes:
-        held, u, ways, single = nodes.pop()
-        room = 5 - len(held)
-        if room <= W:
-            classes = ((held, ways),)
-            if single and ways > S:  # in one suit, or the lowest apart
-                apart = ((held[0][0], 2),) + held[1:]
-                classes = ((held, S), (apart, ways - S))
-            for cards, weight in classes:
-                category = (best_completion(cards, room, spec) if room
-                            else classify_pairs(cards, spec))
-                tallies[category] += weight * wild_ways[room]
-            if not room:
-                continue
-        for x in range(u + 1, V + 1):
-            for cards, choices in holds[x][:room]:
-                nodes.append((held + cards, x, ways * choices,
-                              single and len(cards) == 1))
+    singles = [(x, 1) for x in range(V + 1)]  # singles[x]: x in suit 1
+    # blocks[x][a]: x in suits 1..a.
+    blocks = [[tuple(zip(repeat(x), range(1, a + 1))) for a in range(6)]
+              for x in range(V + 1)]
+
+    def tally(n, ways, parts):
+        # Each `held` with each subset of its `rest` that makes n natural
+        # cards, of `ways` suit choices and C(W, 5 - n) wild subsets.
+        weight = ways * binomial(W, 5 - n)
+        if weight:
+            hands = chain.from_iterable(
+                map(held.__add__, combinations(rest, n - len(held)))
+                for held, rest in parts)
+            categories = (
+                map(best_completion, hands, repeat(5 - n), repeat(spec))
+                if n < 5 else map(classify_pairs, hands, repeat(spec)))
+            for category, count in Counter(categories).items():
+                tallies[category] += count * weight
+
+    # One stream per shape of class, each over every p in `lowest`.
+    for n in range(max(1, 5 - W), 6):  # natural cards per hand
+        # No value repeated, p the lowest: in one suit, or p apart.
+        tally(n, S, ((((p, 1),), singles[p + 1:]) for p in lowest))
+        tally(n, S ** n - S, ((((p, 2),), singles[p + 1:]) for p in lowest))
+        # p the lowest repeated value, in suits 1..a, maybe with a higher q
+        # in suits 1..b; the other values are held once, in suit 1.
+        for a in range(2, min(S, n) + 1):
+            ways = binomial(S, a)
+            tally(n, ways * S ** (n - a), (
+                (blocks[p][a], singles[1:p] + singles[p + 1:])
+                for p in lowest))
+            for b in range(2, min(S, n - a) + 1):
+                tally(n, ways * binomial(S, b) * S ** (n - a - b), (
+                    (blocks[p][a] + blocks[q][b],
+                     singles[1:p] + singles[p + 1:q] + singles[q + 1:])
+                    for p in lowest for q in range(p + 1, V + 1)))
     return tallies
 
 
 def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     """Exact per-category tally over all C(deck size, 5) hands.
 
-    The hands are walked over multisets of natural values, lowest value
-    first, and one hand is classified per multiset and per "all in one
-    suit or not", weighted by the suit choices that the class stands for.
+    One hand is classified per multiset of natural values and per "all in
+    one suit or not", weighted by the suit choices it stands for: a loop
+    walks the repeated values, and `itertools.combinations` draws the ones
+    held once.
     A deck of V values and W wilds has at most B = Σ 2·C(V + 4 - k, 5 - k)
     classes, k = 0..min(W, 4); it is refused when B exceeds ENUMERATION_CAP,
     and then when its counts could not be printed (`require_printable`).
     From B = POOL_CLASSES on, whichever of min(V, CPU count, workers) pool
-    processes is free takes the next lowest natural value as a task, since
-    the tasks differ in cost; otherwise one task walks every value in this
-    process.  Results are bit-identical.
+    processes is free takes the next value v as a task: the classes whose
+    lowest repeated value, or with none repeated lowest value, is v.
+    Otherwise one task walks every value here.  Results are bit-identical.
     """
     V, W = spec.values, spec.wilds
     bound = sum(2 * binomial(V + 4 - k, 5 - k) for k in range(min(W, 4) + 1))

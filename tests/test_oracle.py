@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import os
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -171,6 +172,35 @@ class TestTallyAll:
         calls = self.classifier_calls(monkeypatch, STANDARD_DECK)
         assert calls == {"natural": 7_462}
 
+    # Every hand handed to a classifier is real: distinct cards of values
+    # 1..V and suits 1..S.  A card in suit 2 of a one-suit deck, or a card
+    # held twice, would be classified as some category all the same.
+    @pytest.mark.parametrize("shape", PLAIN_SHAPES + [(13, 4, 0), (13, 4, 2)],
+                             ids="v{0[0]}s{0[1]}w{0[2]}".format)
+    def test_classifies_distinct_cards_of_the_deck(self, shape, monkeypatch):
+        spec = DeckSpec(*shape)
+        V, S, W = shape
+        calls = Counter()
+
+        def checking(name, classifier):
+            def checked(cards, *args):
+                calls[name] += 1
+                room = args[0] if len(args) == 2 else 0
+                assert len(cards) + room == 5 and room <= W, (cards, room)
+                assert len(set(cards)) == len(cards), cards
+                assert all(1 <= v <= V and 1 <= s <= S for v, s in cards), cards
+                return classifier(cards, *args)
+            return checked
+
+        monkeypatch.setattr(oracle, "classify_pairs",
+                            checking("natural", oracle.classify_pairs))
+        monkeypatch.setattr(oracle, "best_completion",
+                            checking("wild", oracle.best_completion))
+        assert sum(tally_all(spec, workers=1).values()) == binomial(spec.size, 5)
+        # The checks ran wherever the deck has such hands.
+        assert calls["natural"] or V * S < 5
+        assert calls["wild"] or not W
+
     def test_worker_count_does_not_change_results(self, monkeypatch):
         # With the bound lowered, these small decks start real processes.
         monkeypatch.setattr(oracle, "POOL_CLASSES", 0)
@@ -217,6 +247,19 @@ class TestTallyAll:
             assert tally_all(spec) == one, spec
             assert requested_pools == pools, spec
 
+    # The task of each lowest natural value v holds the classes whose lowest
+    # repeated value, or with none repeated whose lowest value, is v: the
+    # tasks of a pool together tally each class once, as one task does.
+    @pytest.mark.parametrize("shape", PLAIN_SHAPES,
+                             ids="v{0[0]}s{0[1]}w{0[2]}".format)
+    def test_lowest_value_tasks_partition_the_classes(
+            self, shape, requested_pools, monkeypatch):
+        monkeypatch.setattr(oracle, "POOL_CLASSES", 0)
+        spec = DeckSpec(*shape)
+        assert tally_all(spec) == tally_all(spec, workers=1)
+        assert requested_pools == ([min(spec.values, 3)]
+                                   if spec.values > 1 else [])
+
     # The deck's class bound, the sum over k = 0..min(W, 4) of
     # 2·C(V + 4 - k, 5 - k), decides: every benchmark deck stays in one
     # process, and a deck whose bound reaches POOL_CLASSES gets a pool.
@@ -225,14 +268,29 @@ class TestTallyAll:
         (DeckSpec(values=9, suits=4), []),
         (STANDARD_DECK, []),
         (DeckSpec(values=13, suits=4, wilds=3), []),
-        (DeckSpec(values=16, suits=6), [3]),
+        (DeckSpec(values=16, suits=6), []),
+        (DeckSpec(values=18, suits=4), [3]),
     ], ids=["5x3-bound-252", "9x4-bound-2574", "standard-bound-12376",
-            "13x4-w3-bound-17108", "16x6-bound-31008"])
+            "13x4-w3-bound-17108", "16x6-bound-31008", "18x4-bound-52668"])
     def test_the_class_bound_decides_the_pool(self, spec, pools,
                                               requested_pools):
         tallies = tally_all(spec)
         assert sum(tallies.values()) == binomial(spec.size, 5)
         assert requested_pools == pools
+
+    # The walk draws each stream of classes lazily: a stream built as a list
+    # would hold up to C(V - 1, 4) hands at once (3.4 MB on 30x2).
+    @pytest.mark.parametrize("spec", [DeckSpec(values=30, suits=2),
+                                      DeckSpec(values=25, suits=4, wilds=2)],
+                             ids=["30x2", "25x4-w2"])
+    def test_memory_stays_flat(self, spec):
+        tracemalloc.start()
+        try:
+            tally_all(spec, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
     def test_hundred_wilds_tally_at_once(self):
         spec = DeckSpec(values=5, suits=1, wilds=100)
