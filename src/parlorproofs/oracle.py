@@ -6,11 +6,12 @@ The one assumption: a category depends on the suits only through whether
 all the natural cards share one suit.  So a hand's class is its multiset of
 natural values together with that one bit.  A class splits into R, its
 repeated values, each value x held a times in suits 1..a for C(S, a) suit
-choices, and T, its values held once, in suit 1.  A Python loop walks R:
-its lowest value p with its count a, and maybe a higher q with its count b;
-`itertools.combinations` draws T from the values outside R, and `map`
-hands each class to a classifier, each of one stream's hands standing for
-the same Π C(S, a)·S^|T| ways.  With no value repeated, the all-suit-1
+choices, and T, its values held once, in suit 1.  Python loops walk R:
+the count a of its lowest value p and maybe the count b of a higher q, then
+p and q; `itertools.combinations` draws T from the values outside R, and
+`map` hands each class to a classifier.  The classes of one shape, (a, b,
+|T|), are one stream, each standing for the same Π C(S, a)·S^|T| suit
+choices.  With no value repeated, the all-suit-1
 cards stand for the S one-suit choices, and the same cards with the lowest
 in suit 2 for the other S^n - S.  The standard deck makes 7,462 classifier
 calls instead of 2,598,960.
