@@ -279,7 +279,7 @@ class TestTallyAll:
         assert requested_pools == pools
 
     # The walk draws each stream of classes lazily: a stream built as a list
-    # would hold up to C(V - 1, 4) hands at once (3.4 MB on 30x2).
+    # would hold up to C(V - 1, 4) hands at once (1.9 MB on 30x2).
     @pytest.mark.parametrize("spec", [DeckSpec(values=30, suits=2),
                                       DeckSpec(values=25, suits=4, wilds=2)],
                              ids=["30x2", "25x4-w2"])
