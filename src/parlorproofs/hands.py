@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from enum import IntEnum
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .deck import AceRule, DeckSpec, Hand, binomial, check_cards
@@ -75,21 +76,36 @@ class HandCategory(IntEnum):
             raise InputError(f"unknown hand category {quote(slug)}") from None
 
 
+# The members as module names, for the classifiers that the oracle calls once
+# per class: on CPython 3.11 a lookup on an Enum class, such as
+# HandCategory.PAIR, goes through EnumType.__getattr__ and costs ~8x a global.
+CATEGORIES = tuple(HandCategory)  # in precedence order
+(ROYAL_FLUSH, STRAIGHT_FLUSH, FOUR_OF_A_KIND, FULL_HOUSE, FLUSH, STRAIGHT,
+ THREE_OF_A_KIND, TWO_PAIR, PAIR, HIGH_CARD) = CATEGORIES
+_ACE_LOW = AceRule.BOTH
+_value, _suit = itemgetter(0), itemgetter(1)
+
+
 def _run_count(spec: DeckSpec) -> int:
     """Number of 5-value consecutive runs: V-4, plus the wheel {V,1,2,3,4}
     when aces play low and V > 5 (for V = 5 the wheel is the only run)."""
     V = spec.values
     if V < 5:
         return 0
-    return V - 4 + (V > 5 and spec.ace_rule is AceRule.BOTH)
+    return V - 4 + (V > 5 and spec.ace_rule is _ACE_LOW)
 
 
 def classify_pairs(pairs: Sequence, spec: DeckSpec) -> HandCategory:
     """Classify five (value, suit) pairs from their value multiplicities.
 
-    Accepts multisets; a hand with 5 copies of one value maps to
-    FOUR_OF_A_KIND, the strongest applicable category in the ten-way
-    taxonomy.  Pairs are not range-checked.
+    Accepts multisets in any order; a hand with 5 copies of one value maps
+    to FOUR_OF_A_KIND, the strongest applicable category in the ten-way
+    taxonomy.  Pairs are not range-checked.  The number of distinct values
+    decides: five are sorted once for the run and wheel tests, four make a
+    pair, and with three or two the count of the first value (and of the
+    second, when the first is held once) tells the shapes apart.  The
+    oracle calls this once per class, so it returns the module's names for
+    the HandCategory members and looks up no Enum attribute.
     """
     (v1, s1), (v2, s2), (v3, s3), (v4, s4), (v5, s5) = pairs
     distinct = {v1, v2, v3, v4, v5}
@@ -99,22 +115,26 @@ def classify_pairs(pairs: Sequence, spec: DeckSpec) -> HandCategory:
         lo, _, _, fourth, hi = sorted(distinct)
         if hi - lo == 4:
             if flush:
-                return (HandCategory.ROYAL_FLUSH if hi == spec.values
-                        else HandCategory.STRAIGHT_FLUSH)
-            return HandCategory.STRAIGHT
+                return ROYAL_FLUSH if hi == spec.values else STRAIGHT_FLUSH
+            return STRAIGHT
         # Five distinct values with the fourth at 4 are {1,2,3,4,hi}.
-        if fourth == 4 and hi == spec.values and spec.ace_rule is AceRule.BOTH:
-            return HandCategory.STRAIGHT_FLUSH if flush else HandCategory.STRAIGHT
-        return HandCategory.FLUSH if flush else HandCategory.HIGH_CARD
+        if fourth == 4 and hi == spec.values and spec.ace_rule is _ACE_LOW:
+            return STRAIGHT_FLUSH if flush else STRAIGHT
+        return FLUSH if flush else HIGH_CARD
     if m == 4:
-        return HandCategory.PAIR
+        return PAIR
     values = (v1, v2, v3, v4, v5)
-    top = max(map(values.count, distinct))
+    count = values.count(v1)
     if m == 3:
-        return HandCategory.THREE_OF_A_KIND if top == 3 else HandCategory.TWO_PAIR
+        # Counts 2+2+1 or 3+1+1: v1 held twice, or once with v2 twice,
+        # make two pair.
+        if count == 1:
+            count = values.count(v2)
+        return TWO_PAIR if count == 2 else THREE_OF_A_KIND
     if m == 2:
-        return HandCategory.FOUR_OF_A_KIND if top == 4 else HandCategory.FULL_HOUSE
-    return HandCategory.FOUR_OF_A_KIND  # five copies of one value
+        # Counts 3+2 or 4+1.
+        return FULL_HOUSE if count == 2 or count == 3 else FOUR_OF_A_KIND
+    return FOUR_OF_A_KIND  # five copies of one value
 
 
 def _pairs(cards: Iterable) -> list:
@@ -144,39 +164,39 @@ def best_completion(naturals: Sequence, n_wilds: int,
     and they are distinct and fit a run; three of a kind when top + k >= 3;
     otherwise a pair.
     """
-    values = sorted([v for v, _ in naturals])
+    values = sorted(map(_value, naturals))
     distinct = set(values)
     if len(distinct) < len(values):
         # A repeated value rules out every flush and straight.
         same = max(map(values.count, distinct)) + n_wilds
         if same >= 4:
-            return HandCategory.FOUR_OF_A_KIND
+            return FOUR_OF_A_KIND
         if len(distinct) <= 2:
-            return HandCategory.FULL_HOUSE
-        return HandCategory.THREE_OF_A_KIND if same >= 3 else HandCategory.PAIR
+            return FULL_HOUSE
+        return THREE_OF_A_KIND if same >= 3 else PAIR
 
     V = spec.values
     suited = run = False
     if V >= 5:
-        suited = len({s for _, s in naturals}) <= 1
+        suited = len(set(map(_suit, naturals))) <= 1
         # Distinct values fit a run when they span at most five, or, with the
         # ace playing low, when all but the top one are <= 4 and it is V.
         run = (not values or values[-1] - values[0] <= 4
-               or (spec.ace_rule is AceRule.BOTH and values[-2] <= 4
+               or (spec.ace_rule is _ACE_LOW and values[-2] <= 4
                    and values[-1] == V))
     if suited and run:
         royal = not values or values[0] >= V - 4
-        return HandCategory.ROYAL_FLUSH if royal else HandCategory.STRAIGHT_FLUSH
+        return ROYAL_FLUSH if royal else STRAIGHT_FLUSH
     same = bool(values) + n_wilds  # the top count is 1, or 0 with no naturals
     if same >= 4:
-        return HandCategory.FOUR_OF_A_KIND
+        return FOUR_OF_A_KIND
     # Three or more distinct values are held here (fewer leave k >= 3 wilds
     # and four of a kind), so no full house is in reach.
     if suited:
-        return HandCategory.FLUSH
+        return FLUSH
     if run:
-        return HandCategory.STRAIGHT
-    return HandCategory.THREE_OF_A_KIND if same >= 3 else HandCategory.PAIR
+        return STRAIGHT
+    return THREE_OF_A_KIND if same >= 3 else PAIR
 
 
 def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:

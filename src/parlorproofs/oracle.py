@@ -39,8 +39,8 @@ from typing import NamedTuple, Optional
 
 from .deck import DeckSpec, binomial
 from .errors import InputError, render_int
-from .hands import (HandCategory, best_completion, classify_pairs,
-                    count_category, require_printable)
+from .hands import (CATEGORIES, HandCategory, best_completion,
+                    classify_pairs, count_category, require_printable)
 
 # Class bounds: the largest walked (under 3 s in one process), and the
 # least from which a process pool pays for its start-up.
@@ -56,11 +56,11 @@ def _tally_task(spec: DeckSpec, lowest: range) -> dict:
     """Tally the hands whose lowest repeated natural value, or with none
     repeated their lowest, is in `lowest`, one classifier call per class."""
     V, S, W = spec.values, spec.suits, spec.wilds
-    tallies = dict.fromkeys(HandCategory, 0)
+    tallies = dict.fromkeys(CATEGORIES, 0)
     singles = [(x, 1) for x in range(V + 1)]  # singles[x]: x in suit 1
-    # blocks[x][a]: x in suits 1..a.
-    blocks = [[tuple(zip(repeat(x), range(1, a + 1))) for a in range(6)]
-              for x in range(V + 1)]
+    # blocks[x][a]: x in suits 1..a, for the a <= min(S, 5) a hand can hold.
+    blocks = [[tuple(zip(repeat(x), range(1, a + 1)))
+               for a in range(min(S, 5) + 1)] for x in range(V + 1)]
 
     def tally(n, ways, parts):
         # Each `held` with each subset of its `rest` that makes n natural
@@ -120,7 +120,7 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     require_printable(spec)  # the classes' weights grow with S and W
     cpus = (os.cpu_count() or 1) if bound >= POOL_CLASSES else 1
     processes = min(V, cpus, cpus if workers is None else workers)
-    tallies = dict.fromkeys(HandCategory, 0)
+    tallies = dict.fromkeys(CATEGORIES, 0)
     if processes <= 1:
         parts = [_tally_task(spec, range(1, V + 1))]
     else:
@@ -185,10 +185,10 @@ def verify_closed_forms(spec: DeckSpec) -> VerificationReport:
     has no closed forms, both before any enumeration.
     """
     require_printable(spec)
-    closed = [count_category(cat, spec) for cat in HandCategory]
+    closed = [count_category(cat, spec) for cat in CATEGORIES]
     tallies = tally_all(spec)
     rows = tuple(
         VerificationRow(cat, count, tallies[cat])
-        for cat, count in zip(HandCategory, closed)
+        for cat, count in zip(CATEGORIES, closed)
     )
     return VerificationReport(spec, rows, sum(tallies.values()))

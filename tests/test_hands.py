@@ -2,23 +2,25 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                                STANDARD_DECK, Wild, binomial, parse_hand)
+from parlorproofs import hands
 from parlorproofs.errors import InputError
 from parlorproofs.hands import (HandCategory, Probability,
                                 WildCardsUnsupportedError, WildInHandError,
-                                _run_count, classify, classify_with_wilds,
+                                _run_count, best_completion, classify,
+                                classify_pairs, classify_with_wilds,
                                 combinatorial_proof, count_category,
                                 determine_winner, probability)
 from parlorproofs.proofdoc import StepKind
 
-from independent import (best_over_substitutions, naive_classify,
-                         natural_pairs, run_value_sets)
+from independent import (best_over_substitutions, naive_classifier,
+                         naive_classify, natural_pairs, run_value_sets)
 
 SMALL_SPECS = [
     STANDARD_DECK,
@@ -35,6 +37,18 @@ SMALL_SPECS = [
 
 def hand_of(text, spec=STANDARD_DECK):
     return parse_hand(text, spec)
+
+
+@pytest.mark.parametrize("name", list(HandCategory.__members__))
+def test_module_category_names_are_the_members(name):
+    # The classifiers return these names: a reordered enum must not silently
+    # relabel one.
+    assert getattr(hands, name) is HandCategory[name]
+
+
+def test_module_constants_follow_the_enums():
+    assert hands.CATEGORIES == tuple(sorted(HandCategory))
+    assert hands._ACE_LOW is AceRule.BOTH
 
 
 class TestStraightRuns:
@@ -114,6 +128,20 @@ class TestClassify:
             hand = Hand(frozenset(Card(v, s) for v, s in pairs))
             assert classify(hand, spec) == naive_classify(pairs, spec)
 
+    @pytest.mark.parametrize("ace_rule", list(AceRule))
+    def test_every_class_matches_independent_classifier(self, ace_rule):
+        # Every value multiset of V 5-14, all in suit 1 and in five suits,
+        # handed over in ascending and in descending order.
+        for V in range(5, 15):
+            spec = DeckSpec(V, 5, ace_rule=ace_rule)
+            naive = naive_classifier(spec)
+            for values in combinations_with_replacement(range(1, V + 1), 5):
+                for suits in ((1, 1, 1, 1, 1), (1, 2, 3, 4, 5)):
+                    pairs = tuple(zip(values, suits))
+                    want = naive(pairs)
+                    assert classify_pairs(pairs, spec) is want, (spec, pairs)
+                    assert classify_pairs(pairs[::-1], spec) is want
+
     def test_exclusion_clauses(self):
         # no FLUSH hand is a suited run; no STRAIGHT hand is single-suited
         spec = DeckSpec(values=6, suits=2)
@@ -190,6 +218,21 @@ class TestClassifyWithWilds:
                         assert got is want, (spec, naturals)
                         checked += 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("ace_rule", list(AceRule))
+    def test_one_wild_matches_brute_force_at_larger_values(self, ace_rule):
+        # Every class of four distinct held values of V 8-13 with S = 2, in
+        # one suit or not: the straights, the wheel and the royal depend on
+        # V and the ace rule.  With a value repeated the answer depends on
+        # neither, and the test above checks those classes.
+        for V in range(8, 14):
+            spec = DeckSpec(V, 2, 1, ace_rule)
+            for values in combinations(range(1, V + 1), 4):
+                suited = tuple(zip(values, (1, 1, 1, 1)))
+                for naturals in (suited, ((values[0], 2),) + suited[1:]):
+                    want = best_over_substitutions(naturals, 1, spec)
+                    assert best_completion(naturals, 1, spec) is want, \
+                        (spec, naturals)
 
     def test_natural_five_of_a_value_sets_no_flag(self):
         spec = DeckSpec(values=2, suits=6)

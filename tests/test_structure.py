@@ -142,6 +142,23 @@ def test_no_substitution_product(path):
             assert "product" not in names, f"{path.name}:{node.lineno}"
 
 
+@pytest.mark.parametrize("name", ["classify_pairs", "best_completion"])
+def test_classifiers_read_module_names(name):
+    # The oracle calls these once per class: an attribute lookup on an Enum
+    # class goes through EnumType.__getattr__, and a comprehension builds a
+    # frame, so each returns and tests the module's names instead.
+    tree = _tree(SRC / "hands.py")
+    [func] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name]
+    for node in ast.walk(func):
+        assert not isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                     ast.GeneratorExp)), \
+            f"hands.py:{node.lineno} builds a comprehension"
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            assert node.value.id not in ("HandCategory", "AceRule"), \
+                f"hands.py:{node.lineno} looks up {node.value.id}.{node.attr}"
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_bare_value_error_or_exception_raised(path):
     # Rejected input raises an InputError subclass, which the CLI maps to
