@@ -7,9 +7,9 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from parlorproofs import hands
 from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                                STANDARD_DECK, Wild, binomial, parse_hand)
-from parlorproofs import hands
 from parlorproofs.errors import InputError
 from parlorproofs.hands import (HandCategory, Probability,
                                 WildCardsUnsupportedError, WildInHandError,
@@ -224,7 +224,7 @@ class TestClassifyWithWilds:
         # Every class of four distinct held values of V 8-13 with S = 2, in
         # one suit or not: the straights, the wheel and the royal depend on
         # V and the ace rule.  With a value repeated the answer depends on
-        # neither, and the test above checks those classes.
+        # neither, and test_matches_brute_force_substitution checks those.
         for V in range(8, 14):
             spec = DeckSpec(V, 2, 1, ace_rule)
             for values in combinations(range(1, V + 1), 4):
