@@ -21,9 +21,9 @@ the C(W, 5) all-wild hands are added once.  Natural hands are classified by
 `hands.classify_pairs`, the classifier behind `classify`, and wild hands by
 `hands.best_completion`.  Every weight counts suit choices and wild
 subsets, never a closed form.
-`tally_all` measures the work by the deck's class bound B alone: B above
-ENUMERATION_CAP refuses the deck, and from B = POOL_CLASSES on each value
-p is a task of a process pool, taken by whichever worker is free.
+`tally_all` measures the work by `class_count`, the calls counted from the
+shapes: above ENUMERATION_CAP it refuses the deck, and from POOL_CLASSES
+on each value p is a task of a process pool, taken by whichever is free.
 The tallies check the closed forms in `hands`; the classifiers themselves
 are checked by `tests/independent.py` and `bench/reference.py`, which share
 no code with the library, and the assumption above by the tests, which
@@ -42,14 +42,29 @@ from .errors import InputError, render_int
 from .hands import (CATEGORIES, HandCategory, best_completion,
                     classify_pairs, count_category, require_printable)
 
-# Class bounds: the largest walked (under 3 s in one process), and the
-# least from which a process pool pays for its start-up.
-ENUMERATION_CAP = 2_200_000
-POOL_CLASSES = 50_000
+# Class counts: DeckSpec(39, 5, wilds=5)'s, the largest walked (2.1-2.8 s
+# in one process on 2 CPUs), and the least from which a pool pays for itself.
+ENUMERATION_CAP = 1_753_896
+POOL_CLASSES = 30_000
 
 
 class EnumerationCapError(InputError):
-    """The deck's class bound B exceeds ENUMERATION_CAP."""
+    """The deck's class count exceeds ENUMERATION_CAP."""
+
+
+def class_count(spec: DeckSpec) -> int:
+    """The classifier calls `tally_all` makes: per n natural cards, C(V, n)
+    classes without a repeated value (twice when S > 1 and n > 1), and per
+    shape of repeated values (a) or (a, b) its choices of p (and q) and T."""
+    V, S, W = spec.values, spec.suits, spec.wilds
+    count = int(W >= 5)  # the all-wild hand
+    for n in range(max(1, 5 - W), 6):
+        count += binomial(V, n) * (2 if S > 1 and n > 1 else 1)
+        for a in range(2, min(S, n) + 1):
+            count += V * binomial(V - 1, n - a)
+            for b in range(2, min(S, n - a) + 1):
+                count += binomial(V, 2) * binomial(V - 2, n - a - b)
+    return count
 
 
 def _tally_task(spec: DeckSpec, lowest: range) -> dict:
@@ -103,22 +118,21 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     one suit or not", weighted by the suit choices it stands for: a loop
     walks the repeated values, and `itertools.combinations` draws the ones
     held once.
-    A deck of V values and W wilds has at most B = Σ 2·C(V + 4 - k, 5 - k)
-    classes, k = 0..min(W, 4); it is refused when B exceeds ENUMERATION_CAP,
-    and then when its counts could not be printed (`require_printable`).
-    From B = POOL_CLASSES on, whichever of min(V, CPU count, workers) pool
+    A deck is refused when its `class_count` exceeds ENUMERATION_CAP, and
+    then when its counts could not be printed (`require_printable`).
+    From POOL_CLASSES classes on, whichever of min(V, CPU count, workers) pool
     processes is free takes the next value v as a task: the classes whose
     lowest repeated value, or with none repeated lowest value, is v.
     Otherwise one task walks every value here.  Results are bit-identical.
     """
-    V, W = spec.values, spec.wilds
-    bound = sum(2 * binomial(V + 4 - k, 5 - k) for k in range(min(W, 4) + 1))
-    if bound > ENUMERATION_CAP:
+    V = spec.values
+    classes = class_count(spec)
+    if classes > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"the deck's class bound B = {render_int(bound)} exceeds the cap "
-            f"of {ENUMERATION_CAP}")
+            f"the deck's {render_int(classes)} classes exceed the cap of "
+            f"{ENUMERATION_CAP}")
     require_printable(spec)  # the classes' weights grow with S and W
-    cpus = (os.cpu_count() or 1) if bound >= POOL_CLASSES else 1
+    cpus = (os.cpu_count() or 1) if classes >= POOL_CLASSES else 1
     processes = min(V, cpus, cpus if workers is None else workers)
     tallies = dict.fromkeys(CATEGORIES, 0)
     if processes <= 1:

@@ -80,10 +80,10 @@ class TraitRubric(NamedTuple):
 Rubric = Union[PointRubric, TraitRubric]
 
 
-_POINT_HEADER_RE = re.compile(r"^rubric\s+point\s+(.+?)\s+max=(\d+)$")
+_POINT_HEADER_RE = re.compile(r"^rubric\s+point\s+(.+?)\s+max=([0-9]+)$")
 _TRAIT_HEADER_RE = re.compile(r"^rubric\s+trait\s+(.+)$")
 _SECTION_RE = re.compile(r"^section\s+(.+)$")
-_CRITERION_RE = re.compile(r'^criterion\s+"([^"]+)"\s+points=(\d+)(?:\s+x(\d+))?$')
+_CRITERION_RE = re.compile(r'^criterion\s+"([^"]+)"\s+points=([0-9]+)(?:\s+x([0-9]+))?$')
 _TRAIT_RE = re.compile(r'^trait\s+"([^"]+)"$')
 _LEVEL_RE = re.compile(r'^level\s+([1-5])\s+"([^"]+)"$')
 

@@ -138,7 +138,7 @@ class TestPokerCommands:
                            "1")
         assert code == 2
         assert out == ""
-        assert "class bound B = 183925040 exceeds" in capsys.readouterr().err
+        assert "the deck's 75287520 classes exceed" in capsys.readouterr().err
 
     # The oracle decides from the deck whether a process pool pays, so no
     # flag sets a process count.

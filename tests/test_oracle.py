@@ -12,7 +12,7 @@ from parlorproofs import oracle
 from parlorproofs.deck import AceRule, DeckSpec, STANDARD_DECK, binomial
 from parlorproofs.hands import (DeckTooLargeError, HandCategory,
                                 WildCardsUnsupportedError)
-from parlorproofs.oracle import (EnumerationCapError, tally_all,
+from parlorproofs.oracle import (EnumerationCapError, class_count, tally_all,
                                  verify_closed_forms)
 
 from fixtures import fixture_text
@@ -37,16 +37,6 @@ def plain_tally(spec):
             best[held] = best_over_substitutions(held, k, spec)
         tallies[best[held]] += 1
     return tallies
-
-
-def class_bound(values, wilds):
-    """The walk's class bound, counted here: twice the multisets of 5 - k of
-    the deck's values (in one suit or not), summed over k = 0..min(W, 4)."""
-    multisets = [1, 0, 0, 0, 0, 0]  # of each size, over the values so far
-    for _ in range(values):
-        for size in range(1, 6):
-            multisets[size] += multisets[size - 1]
-    return sum(2 * multisets[5 - k] for k in range(min(wilds, 4) + 1))
 
 
 # Decks for the plain enumeration.  S = 5 and 6 hold five of a kind; W = 6
@@ -78,9 +68,10 @@ class TestTallyAll:
         assert sum(tally_all(spec).values()) == binomial(11, 5)
 
     def test_cap_refusal_names_the_required_count(self):
-        # 200 values bound 2·C(204, 5) classes, refused before any walk.
-        assert class_bound(200, 0) == 5_604_700_080
-        with pytest.raises(EnumerationCapError, match="B = 5604700080 "):
+        # 200 values in one suit make C(200, 5) classes, refused before any
+        # walk.
+        with pytest.raises(EnumerationCapError,
+                           match="deck's 2535650040 classes exceed"):
             tally_all(DeckSpec(values=200, suits=1))
 
     def test_cap_refusal_on_a_count_too_long_to_print(self):
@@ -90,19 +81,27 @@ class TestTallyAll:
             tally_all(DeckSpec(values=10 ** 900))
 
     def test_cap_counts_classes_not_hands(self, monkeypatch):
-        # A cap at the standard deck's bound admits it, and refuses one more
+        # A cap at the standard deck's count admits it, and refuses one more
         # value or one wild.
-        monkeypatch.setattr(oracle, "ENUMERATION_CAP", 12_376)
+        monkeypatch.setattr(oracle, "ENUMERATION_CAP", 7_462)
         assert sum(tally_all(STANDARD_DECK).values()) == binomial(52, 5)
-        for spec, bound in ((DeckSpec(values=14, suits=4), 17_136),
-                            (DeckSpec(values=13, suits=4, wilds=1), 16_016)):
-            assert class_bound(spec.values, spec.wilds) == bound
-            with pytest.raises(EnumerationCapError,
-                               match=f"B = {bound} exceeds the cap of 12376"):
+        for spec, classes in ((DeckSpec(values=14, suits=4), 10_556),
+                              (DeckSpec(values=13, suits=4, wilds=1), 9_997)):
+            with pytest.raises(EnumerationCapError, match=(
+                    f"deck's {classes} classes exceed the cap of 7462")):
                 tally_all(spec)
 
     def test_cap_admits_the_readme_deck(self):
-        assert class_bound(40, 0) == 2_172_016 <= oracle.ENUMERATION_CAP
+        # The cap is the count of 39 values at S >= 5 with W >= 5, and the
+        # count grows with V, S up to 5 and W up to 5: so every deck of up
+        # to 40 values without wilds, or 39 with wilds, is admitted at any
+        # S, and one suit admits 48 values, or 47 with wilds.
+        assert class_count(DeckSpec(39, 5, wilds=5)) == oracle.ENUMERATION_CAP
+        for values, wilds in [(40, 0)] + [(39, w) for w in range(6)]:
+            spec = DeckSpec(values, 5, wilds=wilds)
+            assert class_count(spec) <= oracle.ENUMERATION_CAP, spec
+        assert class_count(DeckSpec(48, 1)) == 1_712_304
+        assert class_count(DeckSpec(47, 1, wilds=5)) <= oracle.ENUMERATION_CAP
 
     @pytest.fixture
     def no_classifier(self, monkeypatch):
@@ -114,12 +113,23 @@ class TestTallyAll:
 
     def test_one_suit_deck_refused_before_any_classifier_call(
             self, no_classifier):
-        # 75,287,520 hands, each a class of its own, under B = 2·C(104, 5).
-        with pytest.raises(EnumerationCapError, match="B = 183925040 "):
+        # 75,287,520 hands, each a class of its own.
+        with pytest.raises(EnumerationCapError, match="deck's 75287520 "):
             tally_all(DeckSpec(values=100, suits=1))
 
-    # Their bound is the standard deck's, but every class weighs C(S, a)
-    # or C(W, k) of about 900 digits, and no count would print.
+    # The least decks past the cap in one and in two suits.
+    @pytest.mark.parametrize("spec, classes", [
+        (DeckSpec(values=49, suits=1), 1_906_884),
+        (DeckSpec(values=41, suits=2), 1_935_856),
+    ], ids=["49x1", "41x2"])
+    def test_decks_past_the_cap_refused_before_any_classifier_call(
+            self, no_classifier, spec, classes):
+        with pytest.raises(EnumerationCapError,
+                           match=f"deck's {classes} classes exceed"):
+            tally_all(spec)
+
+    # Their classes are few, but every class weighs C(S, a) or C(W, k) of
+    # about 900 digits, and no count would print.
     @pytest.mark.parametrize("spec", [DeckSpec(values=13, suits=10 ** 900),
                                       DeckSpec(wilds=10 ** 900)],
                              ids=["suits", "wilds"])
@@ -164,6 +174,7 @@ class TestTallyAll:
             "wild": sum(hand_class_count(V, S, 5 - k) for k in range(1, W + 1)),
         }
         assert calls == {"natural": 840, "wild": 576}
+        assert class_count(DeckSpec(V, S, wilds=W)) == 1_416
 
     def test_standard_deck_classifies_one_hand_per_suit_class(self, monkeypatch):
         # The standard deck's 2,598,960 hands fall into 7,462 classes of
@@ -171,10 +182,14 @@ class TestTallyAll:
         # same number, but takes seconds, so it is pinned here.
         calls = self.classifier_calls(monkeypatch, STANDARD_DECK)
         assert calls == {"natural": 7_462}
+        assert class_count(STANDARD_DECK) == 7_462
 
     # Every hand handed to a classifier is real: distinct cards of values
     # 1..V and suits 1..S.  A card in suit 2 of a one-suit deck, or a card
-    # held twice, would be classified as some category all the same.
+    # held twice, would be classified as some category all the same.  And
+    # class_count counts the calls, which on the small decks are the
+    # classes of natural (5 - k)-subsets the independent checker finds,
+    # the all-wild hand the one empty subset.
     @pytest.mark.parametrize("shape", PLAIN_SHAPES + [(13, 4, 0), (13, 4, 2)],
                              ids="v{0[0]}s{0[1]}w{0[2]}".format)
     def test_classifies_distinct_cards_of_the_deck(self, shape, monkeypatch):
@@ -200,9 +215,13 @@ class TestTallyAll:
         # The checks ran wherever the deck has such hands.
         assert calls["natural"] or V * S < 5
         assert calls["wild"] or not W
+        assert sum(calls.values()) == class_count(spec)
+        if shape in PLAIN_SHAPES:
+            assert class_count(spec) == sum(
+                hand_class_count(V, S, 5 - k) for k in range(min(W, 5) + 1))
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        # With the bound lowered, these small decks start real processes.
+        # With POOL_CLASSES lowered, these small decks start real processes.
         monkeypatch.setattr(oracle, "POOL_CLASSES", 0)
         for spec in (DeckSpec(values=7, suits=3),
                      DeckSpec(values=6, suits=3, wilds=2),
@@ -260,23 +279,26 @@ class TestTallyAll:
         assert requested_pools == ([min(spec.values, 3)]
                                    if spec.values > 1 else [])
 
-    # The deck's class bound, the sum over k = 0..min(W, 4) of
-    # 2·C(V + 4 - k, 5 - k), decides: every benchmark deck stays in one
-    # process, and a deck whose bound reaches POOL_CLASSES gets a pool.
+    # The deck's class count decides: every benchmark deck stays in one
+    # process, as does 20x1, whose hands are its classes, and a deck whose
+    # count reaches POOL_CLASSES gets a pool.
     @pytest.mark.parametrize("spec, pools", [
         (DeckSpec(values=5, suits=3), []),
         (DeckSpec(values=9, suits=4), []),
         (STANDARD_DECK, []),
         (DeckSpec(values=13, suits=4, wilds=3), []),
         (DeckSpec(values=16, suits=6), []),
+        (DeckSpec(values=20, suits=1), []),
         (DeckSpec(values=18, suits=4), [3]),
-    ], ids=["5x3-bound-252", "9x4-bound-2574", "standard-bound-12376",
-            "13x4-w3-bound-17108", "16x6-bound-31008", "18x4-bound-52668"])
-    def test_the_class_bound_decides_the_pool(self, spec, pools,
+    ], ids=["5x3-classes-102", "9x4-classes-1404", "standard-classes-7462",
+            "13x4-w3-classes-10907", "16x6-classes-19872",
+            "20x1-classes-15504", "18x4-classes-34884"])
+    def test_the_class_count_decides_the_pool(self, spec, pools,
                                               requested_pools):
         tallies = tally_all(spec)
         assert sum(tallies.values()) == binomial(spec.size, 5)
         assert requested_pools == pools
+        assert (class_count(spec) >= oracle.POOL_CLASSES) == bool(pools)
 
     # The walk draws each stream of classes lazily: a stream built as a list
     # would hold up to C(V - 1, 4) hands at once (~310 KB on both decks,
@@ -354,7 +376,7 @@ class TestVerifyClosedForms:
             verify_closed_forms(DeckSpec(wilds=1))
 
     def test_deck_too_large_to_print_refused(self):
-        # Its class bound is the standard deck's, but no count would print.
+        # Its classes are few, but no count would print.
         with pytest.raises(DeckTooLargeError):
             verify_closed_forms(DeckSpec(values=13, suits=10 ** 900))
 

@@ -99,10 +99,19 @@ class TestLoadRubric:
         ('rubric trait R\n' + 2 * ('trait "t"\n' + "".join(
             f'level {k} "d"\n' for k in range(1, 6))),
          "duplicate trait name"),
+        # Numbers are ASCII digits, as on a card or a mark sheet, so that a
+        # rubric declares no points its mark sheet cannot award.
+        ("rubric point R max=\u0663\n", "line 1: expected 'rubric point "
+         "<name> max=<int>' or 'rubric trait <name>'"),
+        ('rubric point R max=3\nsection S\ncriterion "c" points=\uff13\n',
+         "line 3: unrecognized line 'criterion \"c\" points=\uff13'"),
+        ('rubric point R max=3\nsection S\ncriterion "c" points=1 x\uff13\n',
+         "line 3: unrecognized line 'criterion \"c\" points=1 x\uff13'"),
     ], ids=["point-before-any", "trait-before-any", "point-unrecognized",
             "trait-unrecognized", "line-error-before-level-error",
             "trait-duplicate-level", "trait-missing-level", "trait-at-end",
-            "trait-duplicate-name"])
+            "trait-duplicate-name", "max-non-ascii-digit",
+            "points-non-ascii-digit", "multiplier-non-ascii-digit"])
     def test_error_order_of_both_kinds(self, text, message):
         with pytest.raises(RubricFormatError) as caught:
             load_rubric(text)
