@@ -78,12 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _deck_spec(args):
-    from . import hands
     from .deck import AceRule, DeckSpec
     ace = AceRule.BOTH if args.ace == "both" else AceRule.HIGH_ONLY
-    spec = DeckSpec(values=args.values, suits=args.suits, ace_rule=ace)
-    hands.require_printable(spec)
-    return spec
+    return DeckSpec(values=args.values, suits=args.suits, ace_rule=ace)
 
 
 def _poker_count(args, out) -> int:

@@ -165,9 +165,11 @@ _STANDARD_VALUES = {
 }
 _STANDARD_SUITS = {"C": 1, "D": 2, "H": 3, "S": 4}
 
-_STANDARD_RE = re.compile(r"^(10|[2-9TJQKA])([CDHS])$", re.IGNORECASE)
-_GENERIC_RE = re.compile(r"^V([0-9]+)S([0-9]+)$", re.IGNORECASE)
-_WILD_RE = re.compile(r"^W([0-9]+)$", re.IGNORECASE)
+# ASCII only: Unicode case folding reads "\u212aS" (Kelvin sign) as "KS".
+_CASE = re.IGNORECASE | re.ASCII
+_STANDARD_RE = re.compile(r"^(10|[2-9TJQKA])([CDHS])$", _CASE)
+_GENERIC_RE = re.compile(r"^V([0-9]+)S([0-9]+)$", _CASE)
+_WILD_RE = re.compile(r"^W([0-9]+)$", _CASE)
 
 
 def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> Union[Card, Wild]:

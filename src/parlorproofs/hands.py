@@ -69,11 +69,12 @@ class HandCategory(IntEnum):
 
     @classmethod
     def from_slug(cls, slug: str) -> "HandCategory":
-        key = slug.strip().replace("-", "_").upper()
-        try:
-            return cls[key]
-        except KeyError:
-            raise InputError(f"unknown hand category {quote(slug)}") from None
+        key = slug.strip().replace("-", "_")
+        # str.upper maps some non-ASCII letters (ı, ſ, ﬂ) onto ASCII ones.
+        member = cls.__members__.get(key.upper()) if key.isascii() else None
+        if member is None:
+            raise InputError(f"unknown hand category {quote(slug)}")
+        return member
 
 
 # The members as module names, for the classifiers that the oracle calls once
@@ -215,17 +216,16 @@ def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:
     return best_completion(naturals, n_wilds, spec)
 
 
-def _require_wild_free(spec: DeckSpec) -> None:
+def count_category(category: HandCategory, spec: DeckSpec) -> int:
+    """Closed-form count of 5-card hands in `category`; 0 when impossible.
+
+    The closed forms' one gate: every other closed-form answer goes through
+    it.  It refuses a deck too large to print first, then a wild deck."""
+    require_printable(spec)
     if spec.wilds > 0:
         raise WildCardsUnsupportedError(
             "closed-form counts are defined for wild-free decks only; "
-            "use oracle.tally_all for decks with wilds"
-        )
-
-
-def count_category(category: HandCategory, spec: DeckSpec) -> int:
-    """Closed-form count of 5-card hands in `category`; 0 when impossible."""
-    _require_wild_free(spec)
+            "use oracle.tally_all for decks with wilds")
     count = 0
     for term in _count_terms(category, spec):
         count += _term_product(term)
@@ -258,7 +258,6 @@ class Probability(NamedTuple):
 
 def probability(category: HandCategory, spec: DeckSpec) -> Probability:
     """count_category over the C(V*S, 5) sample space, exact."""
-    require_printable(spec)
     return Probability(count_category(category, spec), binomial(spec.size, 5))
 
 
@@ -418,13 +417,11 @@ def _count_terms(category: HandCategory, spec: DeckSpec) -> list:
 
 
 def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument:
-    """Claim-Proof counting document whose numbers match count_category."""
-    _require_wild_free(spec)
-    require_printable(spec)
+    """Claim-Proof counting document: its count and total come from
+    probability, so it refuses what count_category refuses."""
+    prob = probability(category, spec)
+    count, total_hands = prob
     terms = _count_terms(category, spec)
-    total_hands = binomial(spec.size, 5)
-    count = sum(_term_product(t) for t in terms)
-    prob = Probability(count, total_hands)
     deck_desc = f"a deck with {spec.values} values and {spec.suits} suits"
 
     steps = [ProofStep(

@@ -195,10 +195,10 @@ class VerificationReport(NamedTuple):
 def verify_closed_forms(spec: DeckSpec) -> VerificationReport:
     """Compare closed-form counts against the enumeration, per category.
 
-    A deck too large to print is refused first, then a wild deck, which
-    has no closed forms, both before any enumeration.
+    The closed forms are computed first, so count_category refuses a deck
+    too large to print, then a wild deck, which has no closed forms, both
+    before any enumeration.
     """
-    require_printable(spec)
     closed = [count_category(cat, spec) for cat in CATEGORIES]
     tallies = tally_all(spec)
     rows = tuple(

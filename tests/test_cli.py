@@ -158,6 +158,24 @@ class TestPokerCommands:
         code, _ = invoke("poker", "count", "royal-straight")
         assert code == 2
 
+    def test_non_ascii_category_is_unknown(self, capsys):
+        code, out = invoke("poker", "count", "pa\u0131r")
+        assert (code, out) == (2, "")
+        assert "unknown hand category" in capsys.readouterr().err
+
+    # The deck is checked where its counts are, so a bad category or entry
+    # on a deck too large to print is named first.
+    @pytest.mark.parametrize("command, named", [
+        (["count", "bogus"], "unknown hand category 'bogus'"),
+        (["winner", "A"], "expected NAME=CATEGORY, got 'A'"),
+    ], ids=["count", "winner"])
+    def test_bad_input_named_before_a_deck_too_large(self, command, named,
+                                                     capsys):
+        code, out = invoke("poker", command[0], "--values",
+                           str(2 ** 2801), *command[1:])
+        assert (code, out) == (2, "")
+        assert named in capsys.readouterr().err
+
     def test_invalid_deck(self):
         code, _ = invoke("poker", "count", "--values", "2", "--suits", "2",
                          "pair")

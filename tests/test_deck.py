@@ -76,7 +76,10 @@ class TestParseCard:
         assert parse_card("as") == Card(13, 4)
         assert parse_card("V3S2", DeckSpec(values=6, suits=3)) == Card(3, 2)
 
-    @pytest.mark.parametrize("text", ["", "ZZ", "1S", "A5", "AS extra"])
+    # Unicode case folding would read U+212A KELVIN SIGN as K and U+017F
+    # LONG S as S.
+    @pytest.mark.parametrize("text", ["", "ZZ", "1S", "A5", "AS extra",
+                                      "\u212aS", "A\u017f"])
     def test_bad_tokens(self, text):
         with pytest.raises(CardParseError):
             parse_card(text)

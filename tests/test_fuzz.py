@@ -38,8 +38,8 @@ def _text(header, *lines):
         .map("".join))
 
 
-CARDS = _text(st.just(""), "AS", "10h", "kd", "v1s1", "v5s2", "W1", "W3",
-              "v{}s1", "v1s{}", "W{}")
+CARDS = _text(st.just(""), "AS", "10h", "kd", "\u212ad", "v1s1", "v5s2",
+              "W1", "W3", "v{}s1", "v1s{}", "W{}")
 GRAPH = _text(st.just("vertex A\nvertex B\n"), "vertex C", "edge A B",
               "edge A B label", "edge B outside", "edge A A", "# note", "")
 RUBRIC = _text(st.sampled_from(["rubric point R max=10\nsection S\n",

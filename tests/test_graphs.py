@@ -460,6 +460,14 @@ class TestImpossibilityProof:
         assert "4 vertices and 7 edges" in doc.steps[2].text
         assert "A, B, C, D" in doc.steps[5].text
 
+    def test_konigsberg_document_uses_the_nouns(self):
+        doc = impossibility_proof(konigsberg_graph(), vertex_noun="land mass",
+                                  edge_noun="bridge", place_name="the city")
+        claim, model = doc.steps[0].text, doc.steps[1].text
+        assert "the city" in doc.title
+        assert "the city" in claim and "bridge" in claim
+        assert "land mass" in model
+
     def test_cat_and_mouse_cites_odd_rooms(self):
         g = cat_and_mouse_graph()
         doc = impossibility_proof(g, vertex_noun="room",

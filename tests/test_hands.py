@@ -11,12 +11,13 @@ from parlorproofs import hands
 from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                                STANDARD_DECK, Wild, binomial, parse_hand)
 from parlorproofs.errors import InputError
-from parlorproofs.hands import (HandCategory, Probability,
+from parlorproofs.hands import (DeckTooLargeError, HandCategory, Probability,
                                 WildCardsUnsupportedError, WildInHandError,
                                 _run_count, best_completion, classify,
                                 classify_pairs, classify_with_wilds,
                                 combinatorial_proof, count_category,
                                 determine_winner, probability)
+from parlorproofs.oracle import verify_closed_forms
 from parlorproofs.proofdoc import StepKind
 
 from independent import (best_over_substitutions, naive_classifier,
@@ -325,6 +326,17 @@ class TestCounts:
                 answer(category, STANDARD_DECK)
             assert str(caught.value) == f"unknown category {quoted}"
 
+    @pytest.mark.parametrize("slug", ["pa\u0131r", "\u017ftraight", "\ufb02ush"],
+                             ids=["dotless-i", "long-s", "fl-ligature"])
+    def test_non_ascii_slug_refused(self, slug):
+        # str.upper would map each of these onto an ASCII member name.
+        with pytest.raises(InputError, match="unknown hand category"):
+            HandCategory.from_slug(slug)
+
+    def test_slugs_resolve(self):
+        for cat in HandCategory:
+            assert HandCategory.from_slug(f" {cat.slug.upper()} ") is cat
+
     def test_straight_count_at_a_billion_values(self):
         V = 10 ** 9
         assert count_category(HandCategory.STRAIGHT, DeckSpec(values=V)) \
@@ -385,6 +397,34 @@ class TestProbability:
         with pytest.raises(InputError, match="2801 bits, at most 2800"):
             probability(HandCategory.STRAIGHT, DeckSpec(values=5,
                                                         suits=suits + 1))
+
+
+# The five closed-form answers, each asked for one pair.
+CLOSED_FORM_ANSWERS = {
+    "count_category": lambda spec: count_category(HandCategory.PAIR, spec),
+    "probability": lambda spec: probability(HandCategory.PAIR, spec),
+    "combinatorial_proof":
+        lambda spec: combinatorial_proof(HandCategory.PAIR, spec),
+    "determine_winner":
+        lambda spec: determine_winner([("A", HandCategory.PAIR)], spec),
+    "verify_closed_forms": verify_closed_forms,
+}
+
+
+class TestClosedFormGate:
+    """count_category is the one gate: a deck too large to print is refused
+    first, then a wild deck, whichever closed-form answer is asked."""
+
+    @pytest.mark.parametrize("spec, error", [
+        (DeckSpec(values=10 ** 5000, wilds=1), DeckTooLargeError),
+        (DeckSpec(wilds=1), WildCardsUnsupportedError),
+        (DeckSpec(values=10 ** 5000), DeckTooLargeError),
+    ], ids=["too-large-and-wild", "wild", "too-large"])
+    @pytest.mark.parametrize("answer", CLOSED_FORM_ANSWERS.values(),
+                             ids=CLOSED_FORM_ANSWERS.keys())
+    def test_every_answer_refuses_alike(self, answer, spec, error):
+        with pytest.raises(error):
+            answer(spec)
 
 
 class TestDetermineWinner:
