@@ -5,6 +5,9 @@ formats output, and maps results to exit codes: 0 for success, 1 for a
 well-formed negative answer, 2 for usage errors and for any `InputError`,
 and 141 when the reader of stdout has gone before the output is written.
 Each handler imports the modules it uses, so a command loads no others.
+The parser is built once, when this module is imported, and `run` may be
+called any number of times in one process: argparse keeps no state of a
+parse in the parser, and formats each help text afresh.
 """
 
 from __future__ import annotations
@@ -16,12 +19,22 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .errors import InputError, quote
+from .errors import InputError, parse_digits, quote
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
+
+
+def _deck_number(text: str) -> int:
+    """The type of --values and --suits: ASCII digits only, at most
+    MAX_DIGITS of them, as in card tokens and rubric numbers.  Any other
+    value is refused in the words argparse uses for `int`."""
+    if text.isascii() and text.isdigit():
+        with contextlib.suppress(InputError):
+            return parse_digits(text, InputError, "deck flag")
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,8 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
     poker_sub = poker.add_subparsers(dest="command", required=True)
 
     deck = argparse.ArgumentParser(add_help=False)
-    deck.add_argument("--values", type=int, default=13, metavar="V")
-    deck.add_argument("--suits", type=int, default=4, metavar="S")
+    deck.add_argument("--values", type=_deck_number, default=13, metavar="V")
+    deck.add_argument("--suits", type=_deck_number, default=4, metavar="S")
     deck.add_argument("--ace", choices=("both", "high"), default="both")
 
     for name in ("count", "prob"):
@@ -199,14 +212,16 @@ def _rubric_score(args, out) -> int:
     return EXIT_OK
 
 
+_PARSER = _build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     # argparse swallows an OSError while printing help, so help is written here.
     help_text = io.StringIO()
     try:
         with contextlib.redirect_stdout(help_text):
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         sys.stdout.write(help_text.getvalue())
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

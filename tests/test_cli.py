@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import re
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from parlorproofs import graphs
+from parlorproofs import cli, graphs
 from parlorproofs.cli import run
+from parlorproofs.errors import MAX_DIGITS
 
 from fixtures import fixture_text
 
@@ -180,6 +182,31 @@ class TestPokerCommands:
         code, _ = invoke("poker", "count", "--values", "2", "--suits", "2",
                          "pair")
         assert code == 2
+
+    # The deck flags take ASCII digits only, as card tokens and rubric
+    # numbers do.  Other scripts' digits, full-width digits, underscores,
+    # signs and spaces, which int() would take, are refused in the words
+    # argparse uses for `int`, as a letter or an empty value always was.
+    @pytest.mark.parametrize("flag", ["--values", "--suits"])
+    @pytest.mark.parametrize("value", [
+        "\u0661\u0663", "\uff14", "1_3", " +13", "+13", "13 ", "-2", "13x", "",
+    ], ids=["arabic-indic", "full-width", "underscore", "space-sign", "sign",
+            "trailing-space", "negative", "letter", "empty"])
+    def test_deck_flag_takes_ascii_digits_only(self, flag, value, capsys):
+        assert invoke("poker", "count", flag, value, "pair") == (2, "")
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("flag", ["--values", "--suits"])
+    def test_deck_flag_digits_are_bounded(self, flag, capsys):
+        # At most MAX_DIGITS digits, as parse_digits allows; leading zeros
+        # are digits like any other.
+        assert invoke("poker", "count", flag, "0" * (MAX_DIGITS - 1) + "7",
+                      "pair")[0] == 0
+        value = "0" * MAX_DIGITS + "7"
+        assert invoke("poker", "count", flag, value, "pair") == (2, "")
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: invalid int value: {value!r}\n")
 
     @pytest.mark.parametrize("command", [
         ["count", "--all"], ["prob", "pair"], ["proof", "pair"],
@@ -482,3 +509,86 @@ class TestUsage:
 
     def test_no_arguments(self):
         assert invoke()[0] == 2
+
+
+# The parser is built once, when `cli` is imported, and every call of `run`
+# parses with it: a call answers as a fresh process would, whatever ran
+# before it in the process.
+def _fresh_cli(argv, cwd):
+    """(exit code, stdout, stderr) of `python -m parlorproofs.cli argv`."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")])))
+    done = subprocess.run([sys.executable, "-m", "parlorproofs.cli", *argv],
+                          env=env, cwd=cwd, capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture
+def files(tmp_path, cycle_file):
+    """A graph with a trail, a rubric and a mark sheet for it, by name."""
+    (tmp_path / "R").write_text(fixture_text("writing_rubric.rubric"))
+    (tmp_path / "M").write_text(
+        'level "Assignment Requirements" 4\nlevel "Reasoning (proof)" 5\n'
+        'level "Quality of Details" 3\n')
+    return {"FILE": cycle_file, "R": str(tmp_path / "R"),
+            "M": str(tmp_path / "M")}
+
+
+class TestSharedParser:
+    SEQUENCE = [
+        ["poker", "count", "--values"],
+        ["poker", "count", "--help"],
+        ["poker", "count", "--all"],
+        ["poker", "prob", "pair"],
+        ["poker", "winner", "A=flush", "B=pair"],
+        ["poker", "count", "bogus"],
+        ["graph", "trail", "FILE"],
+        ["rubric", "score", "R", "M"],
+    ]
+
+    def test_each_call_answers_as_a_fresh_process(self, files, tmp_path,
+                                                  monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        answers = []
+        for argv in self.SEQUENCE:
+            argv = [files.get(arg, arg) for arg in argv]
+            code = run(argv)
+            answers.append((argv, (code, *capsys.readouterr())))
+        assert [code for _, (code, _, _) in answers] == [2, 0, 0, 0, 0, 2,
+                                                         0, 0]
+        for argv, answer in answers:
+            assert answer == _fresh_cli(argv, tmp_path), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["poker", "count", "full-house"],
+        ["graph", "trail", "FILE"],
+        ["rubric", "score", "R", "M"],
+    ], ids=["poker", "graph", "rubric"])
+    def test_run_builds_no_parser(self, argv, files, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert invoke(*[files.get(arg, arg) for arg in argv])[0] == 0
+        assert built == []
+        cli._build_parser()  # the count sees the parsers a build makes
+        assert built
+
+    def test_help_follows_columns_at_call_time(self, monkeypatch, capsys):
+        texts = {}
+        for columns in (50, 200):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            assert invoke("poker", "count", "--help") == (0, "")
+            texts[columns] = capsys.readouterr().out
+        usage = {columns: text.split("\n\n")[0].splitlines()
+                 for columns, text in texts.items()}
+        # 200 columns hold the usage and each option's help on one line;
+        # 50 wrap both.
+        assert len(usage[200]) == 1 and usage[200][0].endswith("[CATEGORY]")
+        assert len(usage[50]) > 1
+        assert max(map(len, usage[50])) < len(usage[200][0])
+        assert "show this help message and exit" in texts[200]
+        assert "show this help message and exit" not in texts[50]
