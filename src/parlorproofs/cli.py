@@ -30,11 +30,12 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 def _deck_number(text: str) -> int:
     """The type of --values and --suits: ASCII digits only, at most
     MAX_DIGITS of them, as in card tokens and rubric numbers.  Any other
-    value is refused in the words argparse uses for `int`."""
+    value is refused in the words argparse uses for `int`, quoted as every
+    rejected input is."""
     if text.isascii() and text.isdigit():
         with contextlib.suppress(InputError):
             return parse_digits(text, InputError, "deck flag")
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise argparse.ArgumentTypeError(f"invalid int value: {quote(text)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -59,8 +59,9 @@ def parse_graph(text: str) -> Multigraph:
 
     Lines: `vertex <name>` and `edge <name1> <name2> [label]`; `#` starts a
     comment; the vertex `outside` is declared implicitly on first use.
+    Each vertex name is held once: the edges share its declared string.
     """
-    vertices: set = set()
+    names: dict = {}  # each declared name to itself
     edges: list = []
     for lineno, line in content_lines(text):
         parts = line.split()
@@ -70,18 +71,19 @@ def parse_graph(text: str) -> Multigraph:
                 raise GraphFormatError(
                     f"line {lineno}: expected 'edge <name1> <name2> [label]'"
                 )
-            u, v = parts[1], parts[2]
-            label = parts[3] if len(parts) == 4 else None
             # Each declared name passed the check on its vertex line.
-            if not (u in vertices and v in vertices):
-                for endpoint in (u, v):
-                    if endpoint == OUTSIDE:
-                        vertices.add(OUTSIDE)
-                    elif endpoint not in vertices:
+            try:
+                u, v = names[parts[1]], names[parts[2]]
+            except KeyError:
+                for endpoint in parts[1:3]:
+                    if endpoint != OUTSIDE and endpoint not in names:
                         raise GraphFormatError(
                             f"line {lineno}: edge references undeclared "
                             f"vertex {quote(endpoint)}"
-                        )
+                        ) from None
+                names[OUTSIDE] = OUTSIDE  # the one name that missed
+                u, v = names[parts[1]], names[parts[2]]
+            label = parts[3] if len(parts) == 4 else None
             edges.append(_new_edge((len(edges) + 1, u, v, label)))
         elif keyword == "vertex":
             if len(parts) != 2:
@@ -89,10 +91,10 @@ def parse_graph(text: str) -> Multigraph:
             name = parts[1]
             if not name.replace("_", "").isalnum():
                 raise GraphFormatError(f"line {lineno}: bad vertex name {quote(name)}")
-            vertices.add(name)
+            names.setdefault(name, name)  # a second declaration adds nothing
         else:
             raise GraphFormatError(f"line {lineno}: unknown directive {quote(keyword)}")
-    return Multigraph(frozenset(vertices), tuple(edges))
+    return Multigraph(frozenset(names), tuple(edges))
 
 
 def _incidence(g: Multigraph) -> dict:

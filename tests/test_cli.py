@@ -10,7 +10,7 @@ import pytest
 
 from parlorproofs import cli, graphs
 from parlorproofs.cli import run
-from parlorproofs.errors import MAX_DIGITS
+from parlorproofs.errors import MAX_DIGITS, QUOTE_LIMIT, quote
 
 from fixtures import fixture_text
 
@@ -206,7 +206,23 @@ class TestPokerCommands:
         value = "0" * MAX_DIGITS + "7"
         assert invoke("poker", "count", flag, value, "pair") == (2, "")
         assert capsys.readouterr().err.endswith(
-            f"error: argument {flag}: invalid int value: {value!r}\n")
+            f"error: argument {flag}: invalid int value: {quote(value)}\n")
+
+    # A refused deck flag is quoted as any rejected input is: whole up to
+    # QUOTE_LIMIT characters, cut there beyond, however long the value.
+    @pytest.mark.parametrize("flag", ["--values", "--suits"])
+    @pytest.mark.parametrize("value, quoted", [
+        ("9" * (QUOTE_LIMIT - 1) + "x", repr("9" * (QUOTE_LIMIT - 1) + "x")),
+        ("9" * 5000, repr("9" * QUOTE_LIMIT)
+         + f"... ({5000 - QUOTE_LIMIT} more characters)"),
+    ], ids=["at-the-limit", "5000-digits"])
+    def test_deck_flag_is_quoted_to_the_limit(self, flag, value, quoted,
+                                              capsys):
+        assert invoke("poker", "count", flag, value, "pair") == (2, "")
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"error: argument {flag}: invalid int value: {quoted}\n")
+        assert len(err) < 400
 
     @pytest.mark.parametrize("command", [
         ["count", "--all"], ["prob", "pair"], ["proof", "pair"],

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from parlorproofs.graphs import (DegenerateGraphError, DuplicateEdgeError,
                                  parse_graph, status_and_odd_vertices)
 from parlorproofs.proofdoc import StepKind
 
-from fixtures import cat_and_mouse_graph, konigsberg_graph
+from fixtures import cat_and_mouse_graph, fixture_text, konigsberg_graph
 from independent import (edge_components, lowest_id_trail,
                          trail_exists_backtracking)
 
@@ -23,6 +24,15 @@ def graph_from_edges(pairs, extra_vertices=()):
     edges = tuple(Edge(i, u, v) for i, (u, v) in enumerate(pairs, start=1))
     vertices = {w for pair in pairs for w in pair} | set(extra_vertices)
     return Multigraph(frozenset(vertices), edges)
+
+
+def walk_text(rng, n_edges):
+    """Graph text of a random walk of n_edges over n_edges // 4 names."""
+    names = [f"r{i}" for i in range(n_edges // 4)]
+    steps = rng.choices(names, k=n_edges)
+    lines = [f"vertex {name}" for name in names]
+    lines += [f"edge {u} {v}" for u, v in zip([names[0]] + steps, steps)]
+    return "\n".join(lines) + "\n"
 
 
 def cycle4():
@@ -88,9 +98,12 @@ class TestParseGraph:
          "line 2: edge references undeclared vertex 'X'"),
         ("VERTEX A\nEdge A Z\n",
          "line 2: edge references undeclared vertex 'Z'"),
+        ("edge A B\nvertex A\nvertex B\n",
+         "line 1: edge references undeclared vertex 'A'"),
     ], ids=["vertex-no-name", "vertex-two-names", "bad-name", "underscore",
             "bad-name-on-edge", "both-ends-undeclared",
-            "outside-then-undeclared", "keywords-in-any-case"])
+            "outside-then-undeclared", "keywords-in-any-case",
+            "edge-before-its-vertices"])
     def test_refusals_name_their_line(self, text, message):
         with pytest.raises(GraphFormatError) as caught:
             parse_graph(text)
@@ -101,12 +114,56 @@ class TestParseGraph:
          (Edge(1, "X", "outside"),)),
         ("VERTEX A\nVertex B\nEDGE A B\neDgE B A door\n", {"A", "B"},
          (Edge(1, "A", "B"), Edge(2, "B", "A", "door"))),
-    ], ids=["declared-then-outside", "keywords-in-any-case"])
+        ("vertex outside\nvertex A\nedge A outside\n", {"A", "outside"},
+         (Edge(1, "A", "outside"),)),
+        ("vertex A\nedge outside A\nvertex outside\nedge A outside\n",
+         {"A", "outside"}, (Edge(1, "outside", "A"), Edge(2, "A", "outside"))),
+        ("vertex A\nvertex B\nvertex A\nedge A B\n", {"A", "B"},
+         (Edge(1, "A", "B"),)),
+    ], ids=["declared-then-outside", "keywords-in-any-case",
+            "outside-declared", "outside-used-then-declared",
+            "declared-twice"])
     def test_accepted_edge_lines(self, text, vertices, edges):
         g = parse_graph(text)
         assert g.vertices == vertices
         assert g.edges == edges
         assert all(type(edge) is Edge for edge in g.edges)
+
+    # A parsed graph holds each vertex name once: every edge end, and so
+    # every trail step, is the string of the graph's vertex of that name.
+    @pytest.mark.parametrize("text", [
+        fixture_text("konigsberg.graph"), fixture_text("cat_and_mouse.graph"),
+        walk_text(random.Random(24), 2000),
+        "vertex A\nedge outside A\nvertex outside\nedge A outside\n",
+        "vertex hall\nvertex den\nedge hall den\nvertex hall\n"
+        "vertex den\nedge den hall\n",
+    ], ids=["konigsberg", "cat-and-mouse", "walk", "outside",
+            "declared-twice"])
+    def test_edges_share_the_vertex_names(self, text):
+        g = parse_graph(text)
+        vertex = {v: v for v in g.vertices}
+        ends = [end for edge in g.edges for end in (edge.u, edge.v)]
+        trail = find_trail(g)
+        if isinstance(trail, Trail):
+            ends += [end for step in trail.steps for end in step[1:]]
+        assert all(end is vertex[end] for end in ends)
+
+    def test_parsed_graph_bytes_per_edge(self):
+        # A 4,000-edge walk graph of 1,000 names: ~139 bytes an edge when
+        # edges share the names, ~245 when each end holds its own string.
+        text = walk_text(random.Random(4000), 4000)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = parse_graph(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert g.edge_count == 4000
+        assert held / g.edge_count < 180
 
     def test_empty_edge_list_parses(self):
         g = parse_graph("vertex A\nvertex B\n")
