@@ -122,8 +122,11 @@ class Card(_Ordered):
         _set(self, "value", value)
         _set(self, "suit", suit)
 
-    def _key(self) -> tuple:  # hashed for each card of each parsed hand
+    def _key(self) -> tuple:
         return self.value, self.suit
+
+    def __hash__(self) -> int:  # hashed for each card of each parsed hand
+        return hash((self.value, self.suit))
 
 
 class Wild(_Ordered):
@@ -164,31 +167,41 @@ _STANDARD_VALUES = {
     "10": 9, "T": 9, "J": 10, "Q": 11, "K": 12, "A": 13,
 }
 _STANDARD_SUITS = {"C": 1, "D": 2, "H": 3, "S": 4}
+# Every standard token, upper-cased, and its card: one lookup reads it.
+_STANDARD_CARDS = {value + suit: Card(v, s)
+                   for value, v in _STANDARD_VALUES.items()
+                   for suit, s in _STANDARD_SUITS.items()}
 
-# ASCII only: Unicode case folding reads "\u212aS" (Kelvin sign) as "KS".
-_CASE = re.IGNORECASE | re.ASCII
-_STANDARD_RE = re.compile(r"^(10|[2-9TJQKA])([CDHS])$", _CASE)
-_GENERIC_RE = re.compile(r"^V([0-9]+)S([0-9]+)$", _CASE)
-_WILD_RE = re.compile(r"^W([0-9]+)$", _CASE)
+# ASCII only: Unicode case folding reads "\u212aS" (Kelvin sign) as "KS", and
+# str.upper reads "A\u017f" (long s) as "AS", so only an ASCII token is
+# upper-cased for the table above.
+_NUMBERED_RE = re.compile(r"V([0-9]+)S([0-9]+)|W([0-9]+)",
+                          re.IGNORECASE | re.ASCII)
 
 
 def parse_card(text: str, spec: DeckSpec = STANDARD_DECK) -> Union[Card, Wild]:
     """Parse a card token (standard "AS", generic "v13s4", or wild "W1")."""
-    token = text.strip()
-    if not token:
-        raise CardParseError("empty card token")
-
-    if m := _WILD_RE.match(token):
-        card = Wild(parse_digits(m.group(1), CardParseError, "wild index"))
-    elif m := _GENERIC_RE.match(token):
-        card = Card(parse_digits(m.group(1), CardParseError, "card value"),
-                    parse_digits(m.group(2), CardParseError, "card suit"))
-    elif m := _STANDARD_RE.match(token):
-        card = Card(_STANDARD_VALUES[m.group(1).upper()],
-                    _STANDARD_SUITS[m.group(2).upper()])
-    else:
-        raise CardParseError(f"unrecognized card token {quote(token)}")
+    card = _read_card(text)
     check_cards((card,), spec)
+    return card
+
+
+def _read_card(text: str) -> Union[Card, Wild]:
+    """The card a token spells, in or out of any deck."""
+    token = text.strip()
+    card = _STANDARD_CARDS.get(token.upper()) if token.isascii() else None
+    if card is None:
+        if not token:
+            raise CardParseError("empty card token")
+        m = _NUMBERED_RE.fullmatch(token)
+        if m is None:
+            raise CardParseError(f"unrecognized card token {quote(token)}")
+        value, suit, index = m.groups()
+        if index is None:
+            card = Card(parse_digits(value, CardParseError, "card value"),
+                        parse_digits(suit, CardParseError, "card suit"))
+        else:
+            card = Wild(parse_digits(index, CardParseError, "wild index"))
     return card
 
 
@@ -213,14 +226,22 @@ def parse_hand(text: str, spec: DeckSpec = STANDARD_DECK) -> Hand:
     tokens = text.split()
     if len(tokens) != 5:
         raise CardParseError(f"a hand needs 5 card tokens, got {len(tokens)}")
-    cards = frozenset([parse_card(t, spec) for t in tokens])
-    if len(cards) != 5:
+    cards = []
+    for token in tokens:
+        try:
+            cards.append(_read_card(token))
+        except CardParseError:
+            # The first bad token decides: a card before it that the deck
+            # lacks is named, else the token itself.
+            check_cards(cards, spec)
+            raise
+    check_cards(cards, spec)
+    distinct = frozenset(cards)
+    if len(distinct) != 5:
         raise CardParseError("duplicate card in hand")
-    return Hand(cards)
+    return Hand(distinct)
 
 
 def binomial(n: int, r: int) -> int:
     """C(n, r), exact; 0 when r < 0 or r > n."""
-    if r < 0 or r > n:
-        return 0
-    return math.comb(n, r)
+    return math.comb(n, r) if 0 <= r <= n else 0

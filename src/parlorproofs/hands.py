@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from enum import IntEnum
+from functools import partial
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -61,20 +62,28 @@ class HandCategory(IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.replace("_", " ").title()
+        return _LABELS[self]
 
     @property
     def slug(self) -> str:
-        return self.name.replace("_", "-").lower()
+        return _SLUGS[self]
 
     @classmethod
     def from_slug(cls, slug: str) -> "HandCategory":
-        key = slug.strip().replace("-", "_")
-        # str.upper maps some non-ASCII letters (ı, ſ, ﬂ) onto ASCII ones.
-        member = cls.__members__.get(key.upper()) if key.isascii() else None
+        key = slug.strip().replace("_", "-")
+        # str.lower maps the Kelvin sign (U+212A) onto k.
+        member = _BY_SLUG.get(key.lower()) if key.isascii() else None
         if member is None:
             raise InputError(f"unknown hand category {quote(slug)}")
         return member
+
+
+# Each member's slug and label, indexed by its value, read by the properties
+# above: Enum.name is a Python-level descriptor, and a CLI line or a count
+# request reads a name per category.
+_SLUGS = (None, *(c.name.replace("_", "-").lower() for c in HandCategory))
+_LABELS = (None, *(c.name.replace("_", " ").title() for c in HandCategory))
+_BY_SLUG = dict(zip(_SLUGS[1:], HandCategory))
 
 
 # The members as module names, for the classifiers that the oracle calls once
@@ -138,16 +147,18 @@ def classify_pairs(pairs: Sequence, spec: DeckSpec) -> HandCategory:
     return FOUR_OF_A_KIND  # five copies of one value
 
 
-def _pairs(cards: Iterable) -> list:
-    return [(c.value, c.suit) for c in cards]
+def _naturals(cards: Iterable) -> list:
+    """The (value, suit) pairs of the natural cards, in no order."""
+    return [(c.value, c.suit) for c in cards if not c.is_wild]
 
 
 def classify(hand: Hand, spec: DeckSpec) -> HandCategory:
     """The unique highest-precedence category a wild-free hand satisfies."""
-    if hand.wilds:
+    naturals = _naturals(hand.cards)
+    if len(naturals) < 5:
         raise WildInHandError("hand contains wilds; use classify_with_wilds")
     check_cards(hand.cards, spec)
-    return classify_pairs(_pairs(hand.cards), spec)
+    return classify_pairs(naturals, spec)
 
 
 def best_completion(naturals: Sequence, n_wilds: int,
@@ -209,8 +220,8 @@ def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:
     FOUR_OF_A_KIND, the strongest category of the ten that they satisfy.
     """
     check_cards(hand.cards, spec)
-    naturals = _pairs(hand.naturals)
-    n_wilds = len(hand.wilds)
+    naturals = _naturals(hand.cards)
+    n_wilds = 5 - len(naturals)
     if n_wilds == 0:
         return classify_pairs(naturals, spec)
     return best_completion(naturals, n_wilds, spec)
@@ -256,9 +267,14 @@ class Probability(NamedTuple):
                 f"{self.count // g}/{self.total // g} ≈ {self.decimal()}")
 
 
+# Builds a Probability from a pair without NamedTuple's Python-level __new__.
+_new_probability = partial(tuple.__new__, Probability)
+
+
 def probability(category: HandCategory, spec: DeckSpec) -> Probability:
     """count_category over the C(V*S, 5) sample space, exact."""
-    return Probability(count_category(category, spec), binomial(spec.size, 5))
+    return _new_probability((count_category(category, spec),
+                             binomial(spec.size, 5)))
 
 
 class WinnerReport(NamedTuple):
@@ -305,7 +321,8 @@ def determine_winner(entries: Iterable, spec: DeckSpec) -> WinnerReport:
 # template.format(*args), built only when a proof document is rendered.
 
 def _choose(n: int, r: int, desc: str) -> tuple:
-    return (binomial(n, r), desc, "C({},{})", (n, r))
+    # binomial's rule, without a second Python call per factor.
+    return (math.comb(n, r) if 0 <= r <= n else 0, desc, "C({},{})", (n, r))
 
 
 def _power(base: int, exp: int, desc: str) -> tuple:

@@ -5,10 +5,37 @@ the classifier works from the category definitions via value-count shapes
 and predicate checks, and the trail search is plain backtracking.
 """
 
+import re
 from itertools import combinations, combinations_with_replacement
 
 from parlorproofs.deck import AceRule, DeckSpec
 from parlorproofs.hands import HandCategory
+
+
+# The card token grammar: wild "W<n>", generic "V<n>S<n>" and standard
+# "<rank><suit>", matched as a whole and ASCII case-insensitively, after the
+# token is stripped of surrounding whitespace.
+TOKEN_RE = re.compile(r"W(?P<wild>[0-9]+)"
+                      r"|V(?P<value>[0-9]+)S(?P<suit>[0-9]+)"
+                      r"|(?P<rank>10|[2-9TJQKA])(?P<mark>[CDHS])",
+                      re.IGNORECASE | re.ASCII)
+# Standard ranks in the 1..13 order, ace highest; "10" and "T" are one rank.
+STANDARD_RANKS = dict(zip("2 3 4 5 6 7 8 9 T J Q K A".split(), range(1, 14)),
+                      **{"10": 9})
+
+
+def token_card(text: str):
+    """What a card token spells: ("wild", index), ("card", value, suit), or
+    None when the text is no card token."""
+    m = TOKEN_RE.fullmatch(text.strip())
+    if m is None:
+        return None
+    if m["wild"] is not None:
+        return ("wild", int(m["wild"]))
+    if m["value"] is not None:
+        return ("card", int(m["value"]), int(m["suit"]))
+    return ("card", STANDARD_RANKS[m["rank"].upper()],
+            "CDHS".index(m["mark"].upper()) + 1)
 
 
 def natural_pairs(spec: DeckSpec) -> list:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,9 +8,24 @@ from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                                parse_card, parse_hand)
 from parlorproofs.errors import MAX_DIGITS, InputError
 
-# Standard value tokens in the 1..13 order, ace highest; T spells 10.
-STANDARD_VALUES = dict(zip("2 3 4 5 6 7 8 9 10 J Q K A".split(), range(1, 14)),
-                       T=9)
+from independent import STANDARD_RANKS, token_card
+
+
+def grammar_tokens():
+    """Every ASCII token of up to 3 characters over the card alphabet in both
+    cases, every 4-character token of V, S, W and digits, and tokens holding
+    a character that str.upper or case folding reads as an ASCII one, a
+    full-width digit or a newline."""
+    alphabet = "0123456789ACDHJKQSTVW"
+    alphabet += alphabet[10:].lower()
+    for n in (1, 2, 3):
+        yield from map("".join, product(alphabet, repeat=n))
+    yield from map("".join, product("0123456789SVWsvw", repeat=4))
+    # Long s reads as S, dotless i as I and the Kelvin sign as K.
+    for odd in ("\u017f", "\u0131", "\u212a", "\uff11", "\uff10"):
+        yield from (odd, "A" + odd, odd + "S", odd + "s", "1" + odd + "C",
+                    "v1s" + odd, "v" + odd + "s1", "W" + odd, odd + "1")
+    yield from ("AS\n", "10h\n", "v2s3\n", "w2\n", "A\nS", "v1\ns1")
 
 
 class TestDeckSpec:
@@ -84,6 +101,26 @@ class TestParseCard:
         with pytest.raises(CardParseError):
             parse_card(text)
 
+    def test_grammar_matches_the_independent_regex(self):
+        # A deck large enough for every number a 4-character token spells.
+        spec = DeckSpec(values=999, suits=999, wilds=999)
+        for token in grammar_tokens():
+            want = token_card(token)
+            try:
+                got = parse_card(token, spec)
+            except CardParseError as error:
+                got = str(error)
+            if want is None:
+                assert got in ("empty card token",
+                               f"unrecognized card token {token.strip()!r}"), \
+                    repr(token)
+            elif 0 in want[1:]:
+                assert "not legal" in got, repr(token)
+            elif want[0] == "wild":
+                assert got == Wild(want[1]), repr(token)
+            else:
+                assert got == Card(want[1], want[2]), repr(token)
+
     def test_out_of_range_for_spec(self):
         small = DeckSpec(values=6, suits=3)
         with pytest.raises(CardParseError):
@@ -107,7 +144,7 @@ class TestParseCard:
             assert parse_card(f"W{index}", spec) == Wild(index)
         if (spec.values, spec.suits) != (13, 4):
             return
-        for name, value in STANDARD_VALUES.items():
+        for name, value in STANDARD_RANKS.items():
             for suit, s in zip("CDHS", range(1, 5)):
                 assert parse_card(name + suit, spec) == Card(value, s)
 
@@ -144,6 +181,31 @@ class TestParseHand:
     def test_duplicate_card_rejected(self):
         with pytest.raises(CardParseError):
             parse_hand("AS AS KS QS JS")
+
+    @pytest.mark.parametrize("text, message", [
+        ("v7s1 ZZ v1s1 v2s1 v3s1",
+         "card of value 7 and suit 1 not legal for a deck of 6 values x 3 suits"),
+        ("v1s1 AS ZZ v2s1 v3s1",
+         "card of value 13 and suit 4 not legal for a deck of 6 values x 3 suits"),
+        ("v1s1 ZZ v7s1 v2s1 v3s1", "unrecognized card token 'ZZ'"),
+        ("v1s1 v2s1 W1 v9s9 v3s1",
+         "wild index 1 not legal for a deck with 0 wilds"),
+        ("v1s1 v1s1 v1s4 v2s1 v3s1",
+         "card of value 1 and suit 4 not legal for a deck of 6 values x 3 suits"),
+        ("v1s1 v1s1 v2s1 Q v3s1", "unrecognized card token 'Q'"),
+        ("v1s1 2c v2s1 v3s1 v4s1", "duplicate card in hand"),
+    ], ids=["deck-then-token", "standard-then-token", "token-then-deck",
+            "wild-then-deck", "duplicate-then-deck", "duplicate-then-token",
+            "duplicate"])
+    def test_first_bad_token_decides(self, text, message):
+        # Tokens are read in text order; the duplicate check comes last.
+        with pytest.raises(CardParseError) as caught:
+            parse_hand(text, DeckSpec(values=6, suits=3))
+        assert str(caught.value) == message
+
+    def test_ten_spelled_both_ways_is_a_duplicate(self):
+        with pytest.raises(CardParseError, match="^duplicate card in hand$"):
+            parse_hand("10s ts 2c 3c 4c")
 
     def test_wrong_count_rejected(self):
         with pytest.raises(CardParseError):

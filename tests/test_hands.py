@@ -1,8 +1,9 @@
+import pickle
 import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +51,34 @@ def test_module_category_names_are_the_members(name):
 def test_module_constants_follow_the_enums():
     assert hands.CATEGORIES == tuple(sorted(HandCategory))
     assert hands._ACE_LOW is AceRule.BOTH
+
+
+@pytest.mark.parametrize("category", list(HandCategory), ids=lambda c: c.name)
+class TestCategoryNames:
+    def test_names_follow_the_member_name(self, category):
+        assert category.slug == category.name.replace("_", "-").lower()
+        assert category.label == category.name.replace("_", " ").title()
+
+    def test_names_are_read_only(self, category):
+        # Every CLI line names a category: no caller may rename one.
+        slug, label = category.slug, category.label
+        for name in ("slug", "label"):
+            with pytest.raises(AttributeError):
+                setattr(category, name, "renamed")
+        assert (category.slug, category.label) == (slug, label)
+
+    def test_pickles_to_the_same_member(self, category):
+        # The oracle's worker processes send categories back by pickle.
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(category, protocol)) is category
+
+    def test_every_spelling_resolves(self, category):
+        words = category.name.split("_")
+        for seps in product("-_", repeat=len(words) - 1):
+            name = words[0] + "".join(map("".join, zip(seps, words[1:])))
+            mixed = "".join(c.lower() if i % 2 else c for i, c in enumerate(name))
+            for spelled in (name, name.lower(), name.title(), mixed):
+                assert HandCategory.from_slug(f"\t{spelled} ") is category
 
 
 class TestStraightRuns:
@@ -300,6 +329,67 @@ class TestClassifyWithWilds:
                 assert best <= classify(fixed, self.SPEC)
 
 
+class TestClassifyBuiltHands:
+    """classify and classify_with_wilds on hands built directly, not parsed,
+    some of them holding cards that the deck lacks."""
+
+    SPEC = DeckSpec(values=6, suits=3, wilds=2)
+    OUTSIDE = [Card(0, 1), Card(7, 2), Card(3, 0), Card(2, 4), Wild(0), Wild(3)]
+
+    def _outside(self, card) -> bool:
+        if card.is_wild:
+            return not 1 <= card.index <= self.SPEC.wilds
+        return not (1 <= card.value <= self.SPEC.values
+                    and 1 <= card.suit <= self.SPEC.suits)
+
+    def _deck_error(self, card) -> str:
+        # check_cards names the first card outside the deck, in the order
+        # in which the hand's set yields its cards.
+        if card.is_wild:
+            return f"wild index {card.index} not legal for a deck with 2 wilds"
+        return (f"card of value {card.value} and suit {card.suit} not legal "
+                f"for a deck of 6 values x 3 suits")
+
+    def test_match_the_independent_classifiers_and_errors(self):
+        pool = ([Card(v, s) for v, s in natural_pairs(self.SPEC)]
+                + [Wild(1), Wild(2)] + self.OUTSIDE)
+        naive = naive_classifier(self.SPEC)
+        rng = random.Random(25)
+        seen = set()
+        for _ in range(1500):
+            hand = Hand(rng.sample(pool, 5))
+            naturals = [(c.value, c.suit) for c in hand.cards if not c.is_wild]
+            n_wilds = 5 - len(naturals)
+            outside = [c for c in hand.cards if self._outside(c)]
+            # classify refuses a wild before it checks the deck.
+            got = _outcome(classify, hand, self.SPEC)
+            if n_wilds:
+                assert type(got) is WildInHandError
+            elif outside:
+                assert type(got) is CardParseError
+                assert str(got) == self._deck_error(outside[0])
+            else:
+                assert got is naive(naturals)
+            got = _outcome(classify_with_wilds, hand, self.SPEC)
+            if outside:
+                assert type(got) is CardParseError
+                assert str(got) == self._deck_error(outside[0])
+            else:
+                assert got is best_over_substitutions(naturals, n_wilds,
+                                                      self.SPEC)
+            seen.add((n_wilds > 0, bool(outside)))
+        assert seen == {(False, False), (False, True), (True, False),
+                        (True, True)}
+
+
+def _outcome(call, *args):
+    """What call(*args) returns, or the InputError it raises."""
+    try:
+        return call(*args)
+    except InputError as error:
+        return error
+
+
 class TestCounts:
     def test_full_house_standard(self):
         assert count_category(HandCategory.FULL_HOUSE, STANDARD_DECK) == 3744
@@ -326,10 +416,13 @@ class TestCounts:
                 answer(category, STANDARD_DECK)
             assert str(caught.value) == f"unknown category {quoted}"
 
-    @pytest.mark.parametrize("slug", ["pa\u0131r", "\u017ftraight", "\ufb02ush"],
-                             ids=["dotless-i", "long-s", "fl-ligature"])
+    @pytest.mark.parametrize("slug", ["pa\u0131r", "\u017ftraight", "\ufb02ush",
+                                      "four-of-a-\u212aind"],
+                             ids=["dotless-i", "long-s", "fl-ligature",
+                                  "kelvin-sign"])
     def test_non_ascii_slug_refused(self, slug):
-        # str.upper would map each of these onto an ASCII member name.
+        # str.upper or str.lower would map each of these onto an ASCII
+        # member name.
         with pytest.raises(InputError, match="unknown hand category"):
             HandCategory.from_slug(slug)
 
