@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
-from functools import total_ordering
 from typing import Iterable, Union
 
 from .errors import InputError, parse_digits, quote, render_int
@@ -66,16 +65,11 @@ class _Value:
     __delattr__ = __setattr__
 
 
-@total_ordering
-class _Ordered(_Value):
-    """A _Value that sorts by its fields, in __slots__ order."""
-
-    __slots__ = ()
-
-    def __lt__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() < other._key()
+def _require_int(value, name: str, error: type) -> None:
+    """Raise `error`, an InputError subclass, unless value is an int; a bool
+    is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an int, got {quote(value)}")
 
 
 class DeckSpec(_Value):
@@ -87,9 +81,7 @@ class DeckSpec(_Value):
                  ace_rule: AceRule = AceRule.BOTH) -> None:
         for name, value, least in zip(self.__slots__, (values, suits, wilds),
                                       (1, 1, 0)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidDeckError(
-                    f"{name} must be an int, got {quote(value)}")
+            _require_int(value, name, InvalidDeckError)
             if value < least:
                 raise InvalidDeckError(
                     f"{name} must be >= {least}, got {render_int(value)}")
@@ -112,13 +104,17 @@ class DeckSpec(_Value):
 STANDARD_DECK = DeckSpec(values=13, suits=4, wilds=0, ace_rule=AceRule.BOTH)
 
 
-class Card(_Ordered):
-    """A natural (value, suit) card; values and suits are 1-based."""
+class Card(_Value):
+    """A natural (value, suit) card; values and suits are 1-based ints."""
 
     __slots__ = ("value", "suit")
     is_wild = False
 
     def __init__(self, value: int, suit: int) -> None:
+        # Exact ints, as every parsed card holds, need no call.
+        if type(value) is not int or type(suit) is not int:
+            _require_int(value, "card value", CardParseError)
+            _require_int(suit, "card suit", CardParseError)
         _set(self, "value", value)
         _set(self, "suit", suit)
 
@@ -129,34 +125,41 @@ class Card(_Ordered):
         return hash((self.value, self.suit))
 
 
-class Wild(_Ordered):
+class Wild(_Value):
     """A wild card, distinguishable from its siblings only by index."""
 
     __slots__ = ("index",)
     is_wild = True
 
     def __init__(self, index: int) -> None:
+        if type(index) is not int:
+            _require_int(index, "wild index", CardParseError)
         _set(self, "index", index)
 
 
+_CARD_TYPES = frozenset({Card, Wild})
+
+
 class Hand(_Value):
-    """An unordered hand of exactly 5 distinct cards."""
+    """An unordered hand of exactly 5 distinct cards, Card or Wild."""
 
     __slots__ = ("cards",)
 
-    def __init__(self, cards: Iterable = frozenset()) -> None:
+    def __init__(self, cards: Iterable) -> None:
         cards = frozenset(cards)
         if len(cards) != 5:
             raise InputError(f"a hand holds exactly 5 distinct cards, got {len(cards)}")
+        if not _CARD_TYPES.issuperset(map(type, cards)):
+            other = next(c for c in cards if type(c) not in _CARD_TYPES)
+            raise InputError(
+                f"a hand holds only Card and Wild cards, got {quote(other)}")
         _set(self, "cards", cards)
 
     @property
-    def naturals(self) -> tuple:
-        return tuple(sorted(c for c in self.cards if not c.is_wild))
-
-    @property
     def wilds(self) -> tuple:
-        return tuple(sorted(c for c in self.cards if c.is_wild))
+        # Kept only for the benchmark's tracing, which labels each
+        # classify_with_wilds span by the number of wilds in its hand.
+        return tuple(c for c in self.cards if c.is_wild)
 
 
 # Standard 52-card token grammar.  Value tokens map onto the 1..13 order with

@@ -52,7 +52,10 @@ def render_int(n: int) -> str:
 
 def quote(value) -> str:
     """repr(value), with a string of more than QUOTE_LIMIT characters cut
-    there and the number of characters cut said after it."""
+    there and the number of characters cut said after it, and an int too
+    long to convert rendered by render_int."""
+    if type(value) is int:
+        return render_int(value)
     if isinstance(value, str) and len(value) > QUOTE_LIMIT:
         return (f"{value[:QUOTE_LIMIT]!r}... "
                 f"({len(value) - QUOTE_LIMIT} more characters)")

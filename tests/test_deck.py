@@ -7,6 +7,7 @@ from parlorproofs.deck import (AceRule, Card, CardParseError, DeckSpec, Hand,
                                InvalidDeckError, STANDARD_DECK, Wild, binomial,
                                parse_card, parse_hand)
 from parlorproofs.errors import MAX_DIGITS, InputError
+from parlorproofs.hands import classify
 
 from independent import STANDARD_RANKS, token_card
 
@@ -176,7 +177,7 @@ class TestParseHand:
     def test_royal_flush_tokens(self):
         hand = parse_hand("10S JS QS KS AS")
         assert isinstance(hand, Hand)
-        assert len(hand.naturals) == 5
+        assert len(hand.cards) == 5
 
     def test_duplicate_card_rejected(self):
         with pytest.raises(CardParseError):
@@ -220,6 +221,47 @@ class TestParseHand:
             Hand(Card(v, 1) for v in values)
         assert str(caught.value) == \
             f"a hand holds exactly 5 distinct cards, got {got}"
+
+    # An object that is not a card once reached classify, which raised
+    # AttributeError for a lack of is_wild.  The count is checked first.
+    @pytest.mark.parametrize("other, quoted", [
+        (5, "5"), ((5, 1), "(5, 1)"), ("AS", "'AS'"), (None, "None"),
+        (10 ** 5000, "a number of about 5001 digits"),
+    ], ids=["int", "tuple", "token", "none", "int-too-long-to-print"])
+    def test_built_directly_from_other_than_cards(self, other, quoted):
+        with pytest.raises(InputError) as caught:
+            Hand([Card(v, 1) for v in range(1, 5)] + [other])
+        assert str(caught.value) == \
+            f"a hand holds only Card and Wild cards, got {quoted}"
+        with pytest.raises(InputError, match="5 distinct cards, got 1$"):
+            Hand([other] * 5)
+
+
+class TestCardFields:
+    # A float value once classified a hand as HIGH_CARD, a float wild index
+    # completed a PAIR, and a bool read as 0 or 1.
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Card(1.5, 1), "card value must be an int, got 1.5"),
+        (lambda: Card("a", 1), "card value must be an int, got 'a'"),
+        (lambda: Card(True, 1), "card value must be an int, got True"),
+        (lambda: Card(1, None), "card suit must be an int, got None"),
+        (lambda: Card(2, 1.0), "card suit must be an int, got 1.0"),
+        (lambda: Wild(1.0), "wild index must be an int, got 1.0"),
+        (lambda: Wild(False), "wild index must be an int, got False"),
+    ], ids=["float-value", "str-value", "bool-value", "none-suit",
+            "float-suit", "float-index", "bool-index"])
+    def test_fields_that_are_not_ints_rejected(self, make, message):
+        with pytest.raises(CardParseError) as caught:
+            make()
+        assert str(caught.value) == message
+
+    def test_any_int_is_a_field(self):
+        # The deck decides the range, when a card meets it.
+        big = 10 ** 5000
+        assert Card(-1, big).suit == big and Wild(0).index == 0
+        with pytest.raises(CardParseError, match="about 5001 digits"):
+            classify(Hand([Card(-1, big)] + [Card(v, 1) for v in range(1, 5)]),
+                     STANDARD_DECK)
 
 
 class TestBinomial:

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from parlorproofs import (DeckSpec, InputError, STANDARD_DECK, load_rubric,
+from parlorproofs import (Card, DeckSpec, Hand, InputError, STANDARD_DECK,
+                          Wild, classify, classify_with_wilds, load_rubric,
                           parse_card, parse_graph, parse_hand, parse_marks)
 from parlorproofs.cli import run
+from parlorproofs.deck import check_cards
 from parlorproofs.hands import HandCategory
 
 _WORDS = st.sampled_from([
@@ -72,6 +74,48 @@ def test_parsers_raise_only_input_errors(parse, text, data, spec):
         parse(data.draw(text), spec)
     except InputError:
         pass
+
+
+# Card fields and other objects a hand may be built from: ints in and out
+# of a deck's range, ints too long to print, floats, bools, None, strings.
+_HUGE = st.sampled_from([10 ** 5000, -10 ** 5000])
+_OBJECT = st.one_of(st.integers(), _HUGE, st.floats(), st.booleans(),
+                    st.none(), st.text(max_size=3),
+                    st.tuples(st.integers(), st.integers()))
+_FIELD = st.one_of(st.integers(-1, 14), _OBJECT)
+# What builds each item of a hand: a Card, a Wild, or the object itself.
+_ITEM = st.one_of(st.tuples(st.just(Card), _FIELD, _FIELD),
+                  st.tuples(st.just(Wild), _FIELD),
+                  st.tuples(st.just(lambda item: item), _OBJECT))
+
+
+@st.composite
+def _hand_items(draw):
+    """Five distinct cards that a small deck may hold, or four or six, up
+    to two of them wilds, and up to two of them replaced by any item."""
+    size = draw(st.sampled_from([5, 5, 5, 4, 6]))
+    wilds = draw(st.integers(0, 2))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                          min_size=size - wilds, max_size=size - wilds,
+                          unique=True))
+    items = ([(Card, *pair) for pair in pairs]
+             + [(Wild, index) for index in range(1, wilds + 1)])
+    for _ in range(draw(st.integers(0, 2))):
+        items[draw(st.integers(0, len(items) - 1))] = draw(_ITEM)
+    return items
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=_hand_items(),
+       spec=st.sampled_from([STANDARD_DECK, DeckSpec(5, 2, wilds=2),
+                             DeckSpec(13, 4, wilds=1), DeckSpec(1, 5)]))
+def test_built_hands_raise_only_input_errors(items, spec):
+    for call in (classify, classify_with_wilds,
+                 lambda hand, spec: check_cards(hand.cards, spec)):
+        try:
+            call(Hand(make(*args) for make, *args in items), spec)
+        except InputError:
+            pass
 
 
 _INT = st.one_of(st.integers(1, 13), st.integers(-2, 14),

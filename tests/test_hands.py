@@ -408,8 +408,9 @@ class TestCounts:
             probability(HandCategory.PAIR, DeckSpec(wilds=1))
 
     @pytest.mark.parametrize("category, quoted", [
-        ("pair", "'pair'"), (None, "None"), (3, "3"), (True, "True")],
-        ids=["slug", "none", "int", "bool"])
+        ("pair", "'pair'"), (None, "None"), (3, "3"), (True, "True"),
+        (10 ** 5000, "a number of about 5001 digits")],
+        ids=["slug", "none", "int", "bool", "int-too-long-to-print"])
     def test_unknown_category_refused(self, category, quoted):
         for answer in (count_category, probability, combinatorial_proof):
             with pytest.raises(InputError) as caught:

@@ -1,10 +1,14 @@
 import concurrent.futures
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from parlorproofs.oracle import (EnumerationCapError, class_count, tally_all,
 from fixtures import fixture_text
 from independent import (best_over_substitutions, hand_class_count,
                          naive_classifier, natural_pairs)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def plain_tally(spec):
@@ -298,6 +304,30 @@ class TestTallyAll:
         assert sum(tallies.values()) == binomial(spec.size, 5)
         assert requested_pools == pools
         assert (class_count(spec) >= oracle.POOL_CLASSES) == bool(pools)
+
+    # POOL_CLASSES was measured under fork; a pool under any start method
+    # must tally alike.  24x1 has 42,504 classes, so a fresh process that
+    # sets the method starts a pool (two processes, to stay light) wherever
+    # there are two CPUs.
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_every_start_method_tallies_alike(self, method):
+        assert class_count(DeckSpec(values=24, suits=1)) >= oracle.POOL_CLASSES
+        script = (
+            "import multiprocessing, os, sys\n"
+            f"multiprocessing.set_start_method({method!r})\n"
+            "from parlorproofs.deck import DeckSpec\n"
+            "from parlorproofs.oracle import tally_all\n"
+            "spec = DeckSpec(values=24, suits=1)\n"
+            "pooled = tally_all(spec, workers=2)\n"
+            "started = 'concurrent.futures' in sys.modules\n"
+            "print(pooled == tally_all(spec, workers=1),\n"
+            "      started == ((os.cpu_count() or 1) > 1))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "True True\n"), \
+            done.stderr
 
     # The walk draws each stream of classes lazily: a stream built as a list
     # would hold up to C(V - 1, 4) hands at once (~310 KB on both decks,

@@ -1,6 +1,6 @@
 """The contract of the value types: equal and hashed by value, closed to
-assignment, shown as Name(field=...); cards sort, and neither a card nor a
-hand behaves as a tuple."""
+assignment, shown as Name(field=...); cards do not sort, and neither a card
+nor a hand behaves as a tuple."""
 
 import pickle
 
@@ -62,11 +62,13 @@ def test_survives_pickling(make, other, field, text):
     assert pickle.loads(pickle.dumps(make())) == make()
 
 
-def test_cards_sort_by_value_then_suit():
-    cards = [Card(3, 1), Card(1, 4), Card(1, 2)]
-    assert sorted(cards) == [Card(1, 2), Card(1, 4), Card(3, 1)]
-    assert sorted([Wild(3), Wild(1)]) == [Wild(1), Wild(3)]
-    assert Card(1, 4) <= Card(1, 4) < Card(2, 1)
+def test_cards_do_not_sort():
+    with pytest.raises(TypeError):
+        Card(1, 1) < Card(1, 2)
+    with pytest.raises(TypeError):
+        Card(1, 4) >= Card(1, 4)
+    with pytest.raises(TypeError):
+        sorted([Wild(2), Wild(1)])
 
 
 def test_cards_and_hands_are_not_tuples():
