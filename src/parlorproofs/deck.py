@@ -52,7 +52,8 @@ class _Value:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
+        # quote: an int field too long to print is named by its size.
+        fields = ", ".join(f"{name}={quote(value)}"
                            for name, value in zip(self.__slots__, self._key()))
         return f"{type(self).__name__}({fields})"
 
@@ -146,7 +147,11 @@ class Hand(_Value):
     __slots__ = ("cards",)
 
     def __init__(self, cards: Iterable) -> None:
-        cards = frozenset(cards)
+        try:
+            cards = frozenset(cards)
+        except TypeError as error:  # not iterable, or a card not hashable
+            raise InputError(
+                f"a hand holds only Card and Wild cards: {error}") from None
         if len(cards) != 5:
             raise InputError(f"a hand holds exactly 5 distinct cards, got {len(cards)}")
         if not _CARD_TYPES.issuperset(map(type, cards)):

@@ -236,6 +236,17 @@ class TestParseHand:
         with pytest.raises(InputError, match="5 distinct cards, got 1$"):
             Hand([other] * 5)
 
+    # frozenset(cards) once raised TypeError for these.
+    @pytest.mark.parametrize("cards, reason", [
+        ([[1], [2], [3], [4], [5]], "unhashable type: 'list'"),
+        (5, "'int' object is not iterable"),
+    ], ids=["unhashable", "not-iterable"])
+    def test_built_directly_from_no_set_of_cards(self, cards, reason):
+        with pytest.raises(InputError) as caught:
+            Hand(cards)
+        assert str(caught.value) == \
+            f"a hand holds only Card and Wild cards: {reason}"
+
 
 class TestCardFields:
     # A float value once classified a hand as HIGH_CARD, a float wild index

@@ -7,8 +7,9 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -194,8 +195,11 @@ class TestTallyAll:
     # held twice, would be classified as some category all the same.  And
     # class_count counts the calls, which on the small decks are the
     # classes of natural (5 - k)-subsets the independent checker finds,
-    # the all-wild hand the one empty subset.
-    @pytest.mark.parametrize("shape", PLAIN_SHAPES + [(13, 4, 0), (13, 4, 2)],
+    # the all-wild hand the one empty subset.  7x4 and 6x3 W1, median
+    # decks of the benchmark, skip lowest values and hold shapes of two
+    # repeated values without a single card.
+    @pytest.mark.parametrize("shape", PLAIN_SHAPES + [(13, 4, 0), (13, 4, 2),
+                                                      (7, 4, 0), (6, 3, 1)],
                              ids="v{0[0]}s{0[1]}w{0[2]}".format)
     def test_classifies_distinct_cards_of_the_deck(self, shape, monkeypatch):
         spec = DeckSpec(*shape)
@@ -224,6 +228,32 @@ class TestTallyAll:
         if shape in PLAIN_SHAPES:
             assert class_count(spec) == sum(
                 hand_class_count(V, S, 5 - k) for k in range(min(W, 5) + 1))
+
+    # Each Python step of the walk, one stream piece handed to
+    # chain.from_iterable, holds at least one class: in one task and in
+    # each task of one lowest value.
+    @pytest.mark.parametrize("shape", [(1, 5, 0), (2, 3, 0), (2, 2, 1),
+                                       (3, 4, 2), (7, 4, 0), (6, 3, 1),
+                                       (5, 6, 5), (9, 2, 3)],
+                             ids="v{0[0]}s{0[1]}w{0[2]}".format)
+    def test_every_walk_step_holds_a_class(self, shape, monkeypatch):
+        spec = DeckSpec(*shape)
+        sizes = []
+
+        def measured(pieces):
+            for piece in pieces:
+                piece = list(piece)
+                sizes.append(len(piece))
+                yield piece
+
+        monkeypatch.setattr(oracle, "chain", SimpleNamespace(
+            from_iterable=lambda pieces: chain.from_iterable(measured(pieces))))
+        V = spec.values
+        for lowest in [range(1, V + 1)] + [range(v, v + 1)
+                                           for v in range(1, V + 1)]:
+            sizes.clear()
+            oracle._tally_task(spec, lowest)
+            assert 0 not in sizes, (lowest, sizes)
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
         # With POOL_CLASSES lowered, these small decks start real processes.

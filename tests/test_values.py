@@ -16,6 +16,10 @@ FIVE = [Card(v, 1) for v in range(1, 5)] + [Wild(1)]
 VALUES = {
     "Card": (lambda: Card(1, 1), Card(1, 2), "value",
              "Card(value=1, suit=1)"),
+    # An int field past CPython's 4,300-digit limit is shown as error
+    # messages show it; its repr once raised ValueError.
+    "Card-huge": (lambda: Card(10 ** 5000, 1), Card(10 ** 5000, 2), "suit",
+                  "Card(value=a number of about 5001 digits, suit=1)"),
     "Wild": (lambda: Wild(2), Wild(1), "index", "Wild(index=2)"),
     "Hand": (lambda: Hand(frozenset(FIVE)), Hand(FIVE[1:] + [Card(9, 9)]),
              "cards", f"Hand(cards={frozenset(FIVE)!r})"),
