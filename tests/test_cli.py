@@ -415,6 +415,120 @@ def test_graph_answer_or_status(command, graph, code, stdout, tmp_path,
     assert capsys.readouterr().err == ""
 
 
+SMALL = ["--values", "4", "--suits", "2"]
+
+FOUR_OF_A_KIND_PROOF = "\n".join([
+    "Counting Four Of A Kind hands",
+    "=============================",
+    "",
+    "Claim. There are exactly 756 Four Of A Kind hands in a deck with 6 "
+    "values and 5 suits; the probability of drawing one is 756/142506 = "
+    "2/377 ≈ 0.00530504.",
+    "",
+    "Proof.",
+    "  choose the value appearing four times: C(6,1) = 6",
+    "  choose 4 of the suits for that value: C(5,4) = 5",
+    "  choose the value of the additional card: C(5,1) = 5",
+    "  choose its suit: C(5,1) = 5",
+    "  C(6,1)·C(5,4)·C(5,1)·C(5,1) = 750",
+    "  choose a value appearing five times: C(6,1) = 6",
+    "  choose 5 of its suits: C(5,5) = 1",
+    "  C(6,1)·C(5,5) = 6",
+    "  adding the disjoint cases: 750 + 6 = 756",
+    "  divide by the number of 5-card hands, C(30,5) = 142506",
+    "  the probability of a Four Of A Kind is 756/142506 = 2/377 ≈ "
+    "0.00530504",
+    "∎",
+    "",
+    "",
+])
+
+VERIFY_ROWS = [("Royal Flush", 0), ("Straight Flush", 0),
+               ("Four Of A Kind", 0), ("Full House", 0), ("Flush", 0),
+               ("Straight", 0), ("Three Of A Kind", 0), ("Two Pair", 24),
+               ("Pair", 32), ("High Card", 0)]
+
+# Files the goldens below name by a capitalized key.
+GOLDEN_FILES = {
+    "CIRCUIT": GRAPHS["circuit"],
+    "KONIGSBERG": GRAPHS["konigsberg"],
+    "POINTS": 'rubric point Quiz max=10\nsection Claim\n'
+              'criterion "State it" points=4\nsection Proof\n'
+              'criterion "Argue" points=3 x2\n',
+    "AWARDS": 'award "State it" 4\naward "Argue" 2\n',
+    "TRAITS": fixture_text("writing_rubric.rubric"),
+    "LEVELS": 'level "Assignment Requirements" 4\n'
+              'level "Reasoning (proof)" 5\nlevel "Quality of Details" 3\n',
+}
+
+# Every command's stdout, character for character, with its exit code: a
+# lost or doubled final newline fails here, where a stripped compare passes.
+STDOUT_GOLDENS = [
+    ("count", ["poker", "count", *SMALL, "pair"], 0, "pair: 32\n"),
+    ("count-all", ["poker", "count", *SMALL, "--all"], 0,
+     "royal-flush: 0\nstraight-flush: 0\nfour-of-a-kind: 0\n"
+     "full-house: 0\nflush: 0\nstraight: 0\nthree-of-a-kind: 0\n"
+     "two-pair: 24\npair: 32\nhigh-card: 0\n"),
+    ("prob", ["poker", "prob", *SMALL, "pair"], 0,
+     "pair: 32/56 = 4/7 ≈ 0.571429\n"),
+    ("prob-all", ["poker", "prob", *SMALL, "--all"], 0,
+     "royal-flush: 0/56 = 0/1 ≈ 0\nstraight-flush: 0/56 = 0/1 ≈ 0\n"
+     "four-of-a-kind: 0/56 = 0/1 ≈ 0\nfull-house: 0/56 = 0/1 ≈ 0\n"
+     "flush: 0/56 = 0/1 ≈ 0\nstraight: 0/56 = 0/1 ≈ 0\n"
+     "three-of-a-kind: 0/56 = 0/1 ≈ 0\ntwo-pair: 24/56 = 3/7 ≈ 0.428571\n"
+     "pair: 32/56 = 4/7 ≈ 0.571429\nhigh-card: 0/56 = 0/1 ≈ 0\n"),
+    ("winner-excluded", ["poker", "winner", *SMALL, "A=pair",
+                         "B=four-of-a-kind"], 0,
+     "excluded: B (four-of-a-kind is impossible in this deck)\n"
+     "A wins (32/56)\n"),
+    ("winner-tie", ["poker", "winner", "A=pair", "B=pair"], 0,
+     "Tie: A, B\n"),
+    ("winner-none", ["poker", "winner", *SMALL, "A=four-of-a-kind",
+                     "B=royal-flush"], 1,
+     "excluded: A (four-of-a-kind is impossible in this deck)\n"
+     "excluded: B (royal-flush is impossible in this deck)\n"
+     "no winner: every entry is impossible in this deck\n"),
+    ("verify", ["poker", "verify", *SMALL], 0,
+     "deck: 4 values x 2 suits, ace rule both\nhands enumerated: 56\n"
+     + "".join(f"PASS  {label:<15}  closed form {n:>10}  oracle {n:>10}\n"
+               for label, n in VERIFY_ROWS)
+     + "overall: PASS\n"),
+    ("verify-csv", ["poker", "verify", *SMALL, "--csv"], 0,
+     "category,closed_form,oracle,status\n"
+     + "".join(f"{label.lower().replace(' ', '-')},{n},{n},pass\n"
+               for label, n in VERIFY_ROWS)),
+    ("proof", ["poker", "proof", "--values", "6", "--suits", "5",
+               "four-of-a-kind"], 0, FOUR_OF_A_KIND_PROOF),
+    ("analyze-circuit", ["graph", "analyze", "CIRCUIT"], 0,
+     "Circuit: every vertex has even degree\n"),
+    ("analyze-no-trail", ["graph", "analyze", "KONIGSBERG"], 0,
+     "NoTrail: 4 vertices of odd degree\n"),
+    ("trail", ["graph", "trail", "CIRCUIT"], 0, "A -> B -> C -> A\n"),
+    ("trail-none", ["graph", "trail", "KONIGSBERG"], 1,
+     "NoTrail: 4 vertices of odd degree\n"),
+    ("graph-proof", ["graph", "proof", "KONIGSBERG"], 0, KONIGSBERG_PROOF),
+    ("graph-proof-none", ["graph", "proof", "CIRCUIT"], 1,
+     "Circuit: every vertex has even degree\n"),
+    ("rubric-points", ["rubric", "score", "POINTS", "AWARDS"], 0,
+     "Claim: 4/4\nProof: 4/6\ntotal: 8/10\n"),
+    ("rubric-traits", ["rubric", "score", "TRAITS", "LEVELS"], 0,
+     "Assignment Requirements: 4/5\nReasoning (proof): 5/5\n"
+     "Quality of Details: 3/5\ntotal: 12/15\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout",
+                         [golden[1:] for golden in STDOUT_GOLDENS],
+                         ids=[golden[0] for golden in STDOUT_GOLDENS])
+def test_stdout_golden(argv, code, stdout, tmp_path, capsys):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / arg) if arg in GOLDEN_FILES else arg
+            for arg in argv]
+    assert invoke(*argv) == (code, stdout)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["graph analyze", "graph trail",
                                      "graph proof", "rubric score"])
 def test_non_utf8_file_is_a_usage_error(command, tmp_path, capsys):
