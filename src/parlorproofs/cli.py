@@ -4,6 +4,8 @@ All logic lives in the library modules; the CLI only parses arguments,
 formats output, and maps results to exit codes: 0 for success, 1 for a
 well-formed negative answer, 2 for usage errors and for any `InputError`,
 and 141 when the reader of stdout has gone before the output is written.
+Each handler computes its answer and returns its exit code and text;
+`run` alone writes that text, once, so an error leaves stdout empty.
 Each handler imports the modules it uses, so a command loads no others.
 The parser is built once, when this module is imported, and `run` may be
 called any number of times in one process: argparse keeps no state of a
@@ -97,26 +99,25 @@ def _deck_spec(args):
     return DeckSpec(values=args.values, suits=args.suits, ace_rule=ace)
 
 
-def _poker_count(args, out) -> int:
+def _poker_count(args) -> tuple[int, str]:
     from . import hands
     spec = _deck_spec(args)
-    want_prob = args.command == "prob"
     if args.all_categories:
         categories = list(hands.HandCategory)
     elif args.category:
         categories = [hands.HandCategory.from_slug(args.category)]
     else:
         raise InputError("give a CATEGORY or --all")
-    for cat in categories:
-        if want_prob:
-            p = hands.probability(cat, spec)
-            print(f"{cat.slug}: {p.format()}", file=out)
-        else:
-            print(f"{cat.slug}: {hands.count_category(cat, spec)}", file=out)
-    return EXIT_OK
+    if args.command == "prob":
+        lines = (f"{cat.slug}: {hands.probability(cat, spec).format()}"
+                 for cat in categories)
+    else:
+        lines = (f"{cat.slug}: {hands.count_category(cat, spec)}"
+                 for cat in categories)
+    return EXIT_OK, "\n".join(lines)
 
 
-def _poker_winner(args, out) -> int:
+def _poker_winner(args) -> tuple[int, str]:
     from . import hands
     spec = _deck_spec(args)
     entries = []
@@ -126,34 +127,29 @@ def _poker_winner(args, out) -> int:
             raise InputError(f"expected NAME=CATEGORY, got {quote(item)}")
         entries.append((name, hands.HandCategory.from_slug(slug)))
     report = hands.determine_winner(entries, spec)
-    for name, cat in report.excluded:
-        print(f"excluded: {name} ({cat.slug} is impossible in this deck)",
-              file=out)
+    excluded = "".join(f"excluded: {name} ({cat.slug} is impossible in "
+                       f"this deck)\n" for name, cat in report.excluded)
     if report.winner is not None:
         chain = " < ".join(f"{p.count}/{p.total}" for _, _, p in report.ranking)
-        print(f"{report.winner} wins ({chain})", file=out)
-        return EXIT_OK
+        return EXIT_OK, f"{excluded}{report.winner} wins ({chain})"
     if report.tied:
-        print("Tie: " + ", ".join(report.tied), file=out)
-        return EXIT_OK
-    print("no winner: every entry is impossible in this deck", file=out)
-    return EXIT_NEGATIVE
+        return EXIT_OK, excluded + "Tie: " + ", ".join(report.tied)
+    return (EXIT_NEGATIVE,
+            excluded + "no winner: every entry is impossible in this deck")
 
 
-def _poker_verify(args, out) -> int:
+def _poker_verify(args) -> tuple[int, str]:
     from . import oracle
     report = oracle.verify_closed_forms(_deck_spec(args))
-    print(report.render_csv() if args.csv else report.render_text(), file=out)
-    return EXIT_OK if report.passed else EXIT_NEGATIVE
+    return (EXIT_OK if report.passed else EXIT_NEGATIVE,
+            report.render_csv() if args.csv else report.render_text())
 
 
-def _poker_proof(args, out) -> int:
+def _poker_proof(args) -> tuple[int, str]:
     from . import hands
     spec = _deck_spec(args)
     category = hands.HandCategory.from_slug(args.category)
-    doc = hands.combinatorial_proof(category, spec)
-    print(doc.render_text(), file=out)
-    return EXIT_OK
+    return EXIT_OK, hands.combinatorial_proof(category, spec).render_text()
 
 
 def _parse_file(path: str, parse, answer=None):
@@ -183,34 +179,30 @@ def _graph_status_line(g, status, odd=None) -> str:
     return f"NoTrail: {len(odd)} vertices of odd degree"
 
 
-def _graph_analyze(args, out) -> int:
+def _graph_analyze(args) -> tuple[int, str]:
     from . import graphs
     g, (status, odd) = _parse_file(args.file, graphs.parse_graph,
                                    graphs.status_and_odd_vertices)
-    print(_graph_status_line(g, status, odd), file=out)
-    return EXIT_OK
+    return EXIT_OK, _graph_status_line(g, status, odd)
 
 
-def _graph_answer(args, out) -> int:
-    """`graph trail` prints a trail and `graph proof` a proof that none
+def _graph_answer(args) -> tuple[int, str]:
+    """`graph trail` answers a trail and `graph proof` a proof that none
     exists; when there is no such answer, the status that rules it out."""
     from . import graphs
     solve = (graphs.find_trail if args.command == "trail"
              else graphs.impossibility_proof)
     g, answer = _parse_file(args.file, graphs.parse_graph, solve)
     if isinstance(answer, graphs.EulerianStatus):
-        print(_graph_status_line(g, answer), file=out)
-        return EXIT_NEGATIVE
-    print(answer.render_text(), file=out)
-    return EXIT_OK
+        return EXIT_NEGATIVE, _graph_status_line(g, answer)
+    return EXIT_OK, answer.render_text()
 
 
-def _rubric_score(args, out) -> int:
+def _rubric_score(args) -> tuple[int, str]:
     from . import rubric
     loaded = _parse_file(args.rubric_file, rubric.load_rubric)
     marks = _parse_file(args.marks_file, rubric.parse_marks)
-    print(rubric.score(loaded, marks).render_text(), file=out)
-    return EXIT_OK
+    return EXIT_OK, rubric.score(loaded, marks).render_text()
 
 
 _PARSER = _build_parser()
@@ -227,10 +219,12 @@ def run(argv: Optional[Sequence[str]] = None, out=None) -> int:
         sys.stdout.write(help_text.getvalue())
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args, out)
+        code, text = args.handler(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    print(text, file=out)
+    return code
 
 
 def main() -> None:
