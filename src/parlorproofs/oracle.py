@@ -78,11 +78,13 @@ def _tally_task(spec: DeckSpec, lowest: range) -> dict:
     singles = [(x, 1) for x in range(V + 1)]  # singles[x]: x in suit 1
     # blocks[a][x]: x in suits 1..a, for the 2 <= a <= min(S, 5) a hand can
     # hold, each block one card longer than the last (a third of the time of
-    # zipping each anew); others[p]: every value but p, in suit 1.
+    # zipping each anew); others[p]: every value but p, in suit 1, read only
+    # by a repeated value's streams, so built only when S > 1.
     blocks, held = {}, [((x, 1),) for x in range(V + 1)]
     for a in range(2, min(S, 5) + 1):
         held = blocks[a] = [block + ((x, a),) for x, block in enumerate(held)]
-    others = {p: singles[1:p] + singles[p + 1:] for p in lowest}
+    others = {p: singles[1:p] + singles[p + 1:]
+              for p in (lowest if S > 1 else ())}
 
     def upto(last):  # the values of `lowest` up to `last`
         return range(lowest.start, min(lowest.stop, last + 1))
