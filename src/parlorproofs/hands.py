@@ -438,13 +438,14 @@ def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument
     probability, so it refuses what count_category refuses."""
     prob = probability(category, spec)
     count, total_hands = prob
+    prob_text = prob.format()
     terms = _count_terms(category, spec)
     deck_desc = f"a deck with {spec.values} values and {spec.suits} suits"
 
     steps = [ProofStep(
         StepKind.CLAIM,
         f"There are exactly {count} {category.label} hands in {deck_desc}; "
-        f"the probability of drawing one is {prob.format()}.",
+        f"the probability of drawing one is {prob_text}.",
     )]
     if count == 0:
         steps.append(ProofStep(
@@ -453,22 +454,21 @@ def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument
             f"definition, so the count is 0.",
         ))
     else:
-        for term in terms:
+        products = [_term_product(term) for term in terms]
+        for term, product in zip(terms, products):
             formulas = [template.format(*args) for _, _, template, args in term]
             for (value, desc, _, _), formula in zip(term, formulas):
                 steps.append(ProofStep(
                     StepKind.COMPUTATION, f"{desc}: {formula} = {value}",
                 ))
             steps.append(ProofStep(
-                StepKind.COMPUTATION,
-                "·".join(formulas) + f" = {_term_product(term)}",
+                StepKind.COMPUTATION, "·".join(formulas) + f" = {product}",
             ))
         if len(terms) > 1:
             steps.append(ProofStep(
                 StepKind.COMPUTATION,
                 "adding the disjoint cases: "
-                + " + ".join(str(_term_product(t)) for t in terms)
-                + f" = {count}",
+                + " + ".join(map(str, products)) + f" = {count}",
             ))
     steps.append(ProofStep(
         StepKind.COMPUTATION,
@@ -476,7 +476,7 @@ def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument
     ))
     steps.append(ProofStep(
         StepKind.CONCLUSION,
-        f"the probability of a {category.label} is {prob.format()}",
+        f"the probability of a {category.label} is {prob_text}",
     ))
     steps.append(ProofStep(StepKind.QED, "∎"))
     return ProofDocument(f"Counting {category.label} hands", tuple(steps))
