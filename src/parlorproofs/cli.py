@@ -153,10 +153,10 @@ def _poker_proof(args) -> tuple[int, str]:
 
 
 def _parse_file(path: str, parse, answer=None):
-    """parse(text of the UTF-8 file at path), or that and answer(it) as a
-    pair when answer is given; errors name the path."""
+    """parse(text of the UTF-8 file at path, less a leading byte-order mark),
+    or that and answer(it) as a pair when answer is given; errors name it."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parsed = parse(handle.read())
         return parsed if answer is None else (parsed, answer(parsed))
     except (OSError, UnicodeDecodeError) as exc:

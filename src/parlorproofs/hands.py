@@ -229,14 +229,7 @@ def classify_with_wilds(hand: Hand, spec: DeckSpec) -> HandCategory:
 
 def count_category(category: HandCategory, spec: DeckSpec) -> int:
     """Closed-form count of 5-card hands in `category`; 0 when impossible.
-
-    The closed forms' one gate: every other closed-form answer goes through
-    it.  It refuses a deck too large to print first, then a wild deck."""
-    require_printable(spec)
-    if spec.wilds > 0:
-        raise WildCardsUnsupportedError(
-            "closed-form counts are defined for wild-free decks only; "
-            "use oracle.tally_all for decks with wilds")
+    It refuses what _count_terms, the closed forms' one gate, refuses."""
     count = 0
     for term in _count_terms(category, spec):
         count += _term_product(term)
@@ -426,7 +419,15 @@ _TERMS = dict(zip(HandCategory, (  # in HandCategory order
 
 
 def _count_terms(category: HandCategory, spec: DeckSpec) -> list:
-    """Choice-step factorizations per category; count = sum of term products."""
+    """Choice-step factorizations per category; count = sum of term products.
+    The closed forms' one gate, which every closed-form answer goes through:
+    it refuses a deck too large to print, then a wild deck, then an unknown
+    category."""
+    require_printable(spec)
+    if spec.wilds > 0:
+        raise WildCardsUnsupportedError(
+            "closed-form counts are defined for wild-free decks only; "
+            "use oracle.tally_all for decks with wilds")
     # HandCategory is an IntEnum, so a plain int or bool would find a term.
     if not isinstance(category, HandCategory):
         raise InputError(f"unknown category {quote(category)}")
@@ -434,12 +435,12 @@ def _count_terms(category: HandCategory, spec: DeckSpec) -> list:
 
 
 def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument:
-    """Claim-Proof counting document: its count and total come from
-    probability, so it refuses what count_category refuses."""
-    prob = probability(category, spec)
-    count, total_hands = prob
-    prob_text = prob.format()
+    """Claim-Proof counting document: its count is the sum of the term
+    products it prints, so it refuses what _count_terms refuses."""
     terms = _count_terms(category, spec)
+    products = [_term_product(term) for term in terms]
+    count, total_hands = sum(products), binomial(spec.size, 5)
+    prob_text = _new_probability((count, total_hands)).format()
     deck_desc = f"a deck with {spec.values} values and {spec.suits} suits"
 
     steps = [ProofStep(
@@ -454,7 +455,6 @@ def combinatorial_proof(category: HandCategory, spec: DeckSpec) -> ProofDocument
             f"definition, so the count is 0.",
         ))
     else:
-        products = [_term_product(term) for term in terms]
         for term, product in zip(terms, products):
             formulas = [template.format(*args) for _, _, template, args in term]
             for (value, desc, _, _), formula in zip(term, formulas):

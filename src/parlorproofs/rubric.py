@@ -30,9 +30,8 @@ def _parse_half_points(token: str, context: str) -> int:
     value = parse_digits(whole + tail, MarkSheetError, context)
     doubled, rest = divmod(2 * value, 10 ** len(tail))
     if rest:
-        raise MarkSheetError(
-            f"{context}: values are limited to 0.5 granularity, got {token}"
-        )
+        raise MarkSheetError(f"{context}: values are limited to 0.5 "
+                             f"granularity, got {quote(token)}")
     return doubled
 
 

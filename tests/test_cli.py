@@ -543,6 +543,23 @@ def test_non_utf8_file_is_a_usage_error(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, marked", [
+    (["graph", "analyze", "KONIGSBERG"], "KONIGSBERG"),
+    (["rubric", "score", "POINTS", "AWARDS"], "POINTS"),
+    (["rubric", "score", "POINTS", "AWARDS"], "AWARDS"),
+], ids=["graph", "rubric", "marks"])
+def test_byte_order_mark_is_ignored(argv, marked, tmp_path, capsys):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / arg) if arg in GOLDEN_FILES else arg
+            for arg in argv]
+    plain = invoke(*argv)
+    assert plain[0] == 0
+    (tmp_path / marked).write_text(GOLDEN_FILES[marked], encoding="utf-8-sig")
+    assert invoke(*argv) == plain
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["graph", "analyze", "FILE"],
     ["poker", "winner", "B" * 5000],

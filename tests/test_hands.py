@@ -506,8 +506,8 @@ CLOSED_FORM_ANSWERS = {
 
 
 class TestClosedFormGate:
-    """count_category is the one gate: a deck too large to print is refused
-    first, then a wild deck, whichever closed-form answer is asked."""
+    """_count_terms is the one gate that every closed-form answer shares: a
+    deck too large to print is refused first, then a wild deck."""
 
     @pytest.mark.parametrize("spec, error", [
         (DeckSpec(values=10 ** 5000, wilds=1), DeckTooLargeError),
@@ -620,6 +620,27 @@ class TestCombinatorialProof:
         for cat in HandCategory:
             doc = combinatorial_proof(cat, spec)
             assert f"exactly {count_category(cat, spec)} " in doc.steps[0].text
+
+    @pytest.mark.parametrize("category, spec", [
+        (HandCategory.FULL_HOUSE, STANDARD_DECK),
+        (HandCategory.FOUR_OF_A_KIND, DeckSpec(values=6, suits=5)),
+    ], ids=["one-term", "two-terms"])
+    def test_builds_its_terms_once(self, category, spec, monkeypatch):
+        calls = []
+
+        def counted(build):
+            def wrapper(*args):
+                calls.append(build)
+                return build(*args)
+            return wrapper
+
+        for cat, build in list(hands._TERMS.items()):
+            monkeypatch.setitem(hands._TERMS, cat, counted(build))
+        doc = combinatorial_proof(category, spec)
+        assert len(calls) == 1
+        two_terms = any(t.startswith("adding the disjoint cases")
+                        for t in doc.step_texts())
+        assert two_terms == (category is HandCategory.FOUR_OF_A_KIND)
 
     def test_division_step_names_the_sample_space(self):
         doc = combinatorial_proof(HandCategory.PAIR, STANDARD_DECK)

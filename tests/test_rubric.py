@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from parlorproofs.errors import MAX_DIGITS
+from parlorproofs.errors import MAX_DIGITS, QUOTE_LIMIT
 from parlorproofs.rubric import (MarkSheet, MarkSheetError, PointRubric,
                                  RubricFormatError, TraitRubric, load_rubric,
                                  parse_marks, score)
@@ -303,6 +303,18 @@ class TestParseMarks:
     def test_quarter_points_rejected(self):
         with pytest.raises(MarkSheetError, match="0.5"):
             parse_marks('award "x" 1.25\n')
+
+    def test_rejected_fraction_is_quoted_briefly(self):
+        with pytest.raises(MarkSheetError, match=r"granularity, got '0\.25'$"):
+            parse_marks('award "x" 0.25\n')
+        token = "0." + "0" * 990 + "1"
+        with pytest.raises(MarkSheetError) as caught:
+            parse_marks(f'award "x" {token}\n')
+        message = str(caught.value)
+        assert message.endswith(
+            f"got {token[:QUOTE_LIMIT]!r}... "
+            f"({len(token) - QUOTE_LIMIT} more characters)")
+        assert len(message) < 160
 
     def test_unrecognized_line(self):
         with pytest.raises(MarkSheetError, match="line 1"):

@@ -109,8 +109,8 @@ def test_only_the_oracle_sizes_a_process_pool(path):
     "path", [p for p in MODULES if p.name not in ("hands.py", "oracle.py")],
     ids=lambda p: p.name)
 def test_only_the_closed_forms_and_oracle_check_printability(path):
-    # count_category is the closed forms' one gate and tally_all checks its
-    # own deck; no other module restates the rule.
+    # hands._count_terms is the closed forms' one gate and tally_all checks
+    # its own deck; no other module restates the rule.
     for node in ast.walk(_tree(path)):
         assert "require_printable" not in _spelled_names(node), \
             f"{path.name}:{node.lineno} names require_printable"
