@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 from functools import partial
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .deck import AceRule, DeckSpec, Hand, binomial, check_cards
@@ -174,22 +174,27 @@ def best_completion(naturals: Sequence, n_wilds: int,
     when top + k >= 4; full house with at most two held values; flush when
     V >= 5 and the held values are distinct and suited; straight when V >= 5
     and they are distinct and fit a run; three of a kind when top + k >= 3;
-    otherwise a pair.
+    otherwise a pair.  `top` comes from the held value set: for at most four
+    held cards, every input with k >= 1, a repeated value makes it
+    held - distinct + 1, less one for two pairs (four cards in two values,
+    the first card's value held twice); only distinct values are sorted.
     """
-    values = sorted(map(_value, naturals))
-    distinct = set(values)
-    if len(distinct) < len(values):
-        # A repeated value rules out every flush and straight.
-        same = max(map(values.count, distinct)) + n_wilds
+    distinct = set(map(_value, naturals))
+    held, m = len(naturals), len(distinct)
+    if m < held:
+        # A repeated value rules out flushes and straights; top + k >= 3.
+        same = held - m + 1 + n_wilds
+        if m == 2 and held == 4 and \
+                countOf(map(_value, naturals), naturals[0][0]) == 2:
+            same -= 1  # two pairs
         if same >= 4:
             return FOUR_OF_A_KIND
-        if len(distinct) <= 2:
-            return FULL_HOUSE
-        return THREE_OF_A_KIND if same >= 3 else PAIR
+        return FULL_HOUSE if m <= 2 else THREE_OF_A_KIND
 
     V = spec.values
     suited = run = False
     if V >= 5:
+        values = sorted(distinct)
         suited = len(set(map(_suit, naturals))) <= 1
         # Distinct values fit a run when they span at most five, or, with the
         # ace playing low, when all but the top one are <= 4 and it is V.
@@ -199,7 +204,7 @@ def best_completion(naturals: Sequence, n_wilds: int,
     if suited and run:
         royal = not values or values[0] >= V - 4
         return ROYAL_FLUSH if royal else STRAIGHT_FLUSH
-    same = bool(values) + n_wilds  # the top count is 1, or 0 with no naturals
+    same = bool(held) + n_wilds  # the top count is 1, or 0 with no naturals
     if same >= 4:
         return FOUR_OF_A_KIND
     # Three or more distinct values are held here (fewer leave k >= 3 wilds
@@ -295,10 +300,13 @@ def determine_winner(entries: Iterable, spec: DeckSpec) -> WinnerReport:
             raise InputError(f"duplicate player {quote(name)}")
         seen.add(name)
 
-    scored = [(name, cat, probability(cat, spec)) for name, cat in entries]
+    counts = [count_category(cat, spec) for _, cat in entries]
+    # One deck's probabilities share C(size, 5), taken once the gate has
+    # passed the first count, so the counts rank them.
+    total = binomial(spec.size, 5)
+    scored = [(name, cat, _new_probability((count, total)))
+              for (name, cat), count in zip(entries, counts)]
     excluded = tuple((name, cat) for name, cat, p in scored if p.count == 0)
-    # Every probability of one deck has the denominator C(size, 5), so the
-    # counts rank them.
     ranking = tuple(sorted((e for e in scored if e[2].count > 0),
                            key=lambda e: (e[2].count, e[0])))
     minimal = tuple(name for name, _, p in ranking

@@ -3,7 +3,8 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, product)
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,12 +224,14 @@ class TestClassifyWithWilds:
 
     @pytest.mark.parametrize("ace_rule", list(AceRule))
     def test_matches_brute_force_substitution(self, ace_rule):
-        # Every natural subset of every deck with V 1-7, S 1-4 and 1-3
-        # wilds, one per (sorted values, one suit, wild count) key.
+        # Every natural subset of every deck with V 1-7, S 1-4 and 1-4
+        # wilds, one per (sorted values, one suit, wild count) key, and
+        # best_completion on every order of its held cards: the answer must
+        # not depend on the order in which a hand's cards come.
         checked = 0
         for values in range(1, 8):
             for suits in range(1, 5):
-                for k in (1, 2, 3):
+                for k in (1, 2, 3, 4):
                     if values * suits < 5 - k:
                         continue
                     spec = DeckSpec(values, suits, k, ace_rule)
@@ -246,8 +249,33 @@ class TestClassifyWithWilds:
                         got = classify_with_wilds(hand, spec)
                         want = best_over_substitutions(naturals, k, spec)
                         assert got is want, (spec, naturals)
+                        for order in permutations(naturals):
+                            assert best_completion(order, k, spec) is want, \
+                                (spec, order)
                         checked += 1
         assert checked > 1000
+
+    @pytest.mark.parametrize("ace_rule", list(AceRule))
+    @pytest.mark.parametrize("suits_of_p, suits_of_q, category", [
+        ((1, 2), (1, 2), HandCategory.FULL_HOUSE),
+        ((1, 2, 3), (1,), HandCategory.FOUR_OF_A_KIND),
+    ], ids=["two-pair", "trips"])
+    def test_four_cards_in_two_values_in_any_order(
+            self, suits_of_p, suits_of_q, category, ace_rule):
+        # Two pair and a wild make a full house, trips and a single with a
+        # wild four of a kind; best_completion tells them apart by the
+        # first card's value count, so every order of the four is tried.
+        for values in range(2, 8):
+            for suits in (3, 4):
+                spec = DeckSpec(values, suits, 1, ace_rule)
+                for p, q in permutations(range(1, values + 1), 2):
+                    naturals = ([(p, s) for s in suits_of_p]
+                                + [(q, s) for s in suits_of_q])
+                    assert best_over_substitutions(naturals, 1, spec) \
+                        is category
+                    for order in permutations(naturals):
+                        assert best_completion(order, 1, spec) is category, \
+                            (spec, order)
 
     @pytest.mark.parametrize("ace_rule", list(AceRule))
     def test_one_wild_matches_brute_force_at_larger_values(self, ace_rule):
@@ -529,6 +557,25 @@ class TestDetermineWinner:
              ("Ryan", HandCategory.STRAIGHT)], STANDARD_DECK)
         assert report.winner == "Bond"
         assert [n for n, _, _ in report.ranking] == ["Bond", "Rogers", "Ryan"]
+
+    def test_takes_the_sample_space_once(self, monkeypatch):
+        # Every entry's probability shares C(52, 5), so one call builds it.
+        calls = []
+
+        def counted(n, r):
+            calls.append((n, r))
+            return binomial(n, r)
+
+        monkeypatch.setattr(hands, "binomial", counted)
+        report = determine_winner(
+            [("Bond", HandCategory.FULL_HOUSE),
+             ("Rogers", HandCategory.FLUSH),
+             ("Ryan", HandCategory.STRAIGHT)], STANDARD_DECK)
+        assert calls.count((52, 5)) == 1
+        assert [p for _, _, p in report.ranking] == [
+            probability(c, STANDARD_DECK) for c in (
+                HandCategory.FULL_HOUSE, HandCategory.FLUSH,
+                HandCategory.STRAIGHT)]
 
     def test_identical_categories_tie(self):
         report = determine_winner(
