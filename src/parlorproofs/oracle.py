@@ -1,9 +1,10 @@
 """Brute-force ground truth: tally the categories of all 5-card hands by
-enumeration, one classifier call per class of hands that no category tells
-apart.
+enumeration, at most one classifier call per class of hands that no
+category tells apart.
 
 The one assumption: a category depends on the suits only through whether
-all the natural cards share one suit.  So a hand's class is its multiset of
+all the natural cards share one suit, and for five distinct natural values
+that bit only toggles flushness.  So a hand's class is its multiset of
 natural values together with that one bit.  A class splits into R, its
 repeated values, each value x held a times in suits 1..a for C(S, a) suit
 choices, and T, its values held once, in suit 1.  Python loops walk R:
@@ -16,8 +17,9 @@ wild, takes one step per p, `map` joining p's block to each higher q's.
 The classes of one shape, (a, b, |T|), are one stream, each standing for
 the same Π C(S, a)·S^|T| suit choices.  With no value repeated, the
 all-suit-1 cards stand for the S one-suit choices, and the same cards with
-the lowest in suit 2 for the other S^n - S.  The standard deck makes 7,462
-classifier calls instead of 2,598,960 in 159 Python steps.
+the lowest in suit 2 for the other S^n - S, which for five natural cards
+are read off the one-suit category by MIXED_SUITS.  The standard deck makes
+6,175 classifier calls instead of 2,598,960 in 150 Python steps.
 A hand holding k of the W wilds is a natural (5-k)-subset so drawn together
 with any of C(W, k) wild k-subsets, so it is weighted by C(W, k) as well;
 the C(W, 5) all-wild hands are added once.  Natural hands are classified by
@@ -45,10 +47,19 @@ from .errors import InputError, render_int
 from .hands import (CATEGORIES, HandCategory, best_completion,
                     classify_pairs, count_category, require_printable)
 
-# Class counts: DeckSpec(39, 5, wilds=5)'s, the largest walked (2.1-2.8 s
-# in one process on 2 CPUs), and the least from which a pool pays for itself.
+# Class counts, in classifier calls: DeckSpec(39, 5, wilds=5)'s when each
+# set of five distinct values took two calls, the largest walked then
+# (2.1-2.8 s in one process on 2 CPUs), and the least from which a pool
+# pays for itself.
 ENUMERATION_CAP = 1_753_896
 POOL_CLASSES = 30_000
+
+
+# The category of five distinct values not all in one suit, from theirs in
+# one suit: the suit bit only toggles flushness.
+MIXED_SUITS = {HandCategory.ROYAL_FLUSH: HandCategory.STRAIGHT,
+               HandCategory.STRAIGHT_FLUSH: HandCategory.STRAIGHT,
+               HandCategory.FLUSH: HandCategory.HIGH_CARD}
 
 
 class EnumerationCapError(InputError):
@@ -57,12 +68,13 @@ class EnumerationCapError(InputError):
 
 def class_count(spec: DeckSpec) -> int:
     """The classifier calls `tally_all` makes: per n natural cards, C(V, n)
-    classes without a repeated value (twice when S > 1 and n > 1), and per
-    shape of repeated values (a) or (a, b) its choices of p (and q) and T."""
+    classes without a repeated value (twice when S > 1 and 1 < n < 5), and
+    per shape of repeated values (a) or (a, b) its choices of p (and q) and
+    T."""
     V, S, W = spec.values, spec.suits, spec.wilds
     count = int(W >= 5)  # the all-wild hand
     for n in range(max(1, 5 - W), 6):
-        count += binomial(V, n) * (2 if S > 1 and n > 1 else 1)
+        count += binomial(V, n) * (2 if S > 1 and 1 < n < 5 else 1)
         for a in range(2, min(S, n) + 1):
             count += V * binomial(V - 1, n - a)
             for b in range(2, min(S, n - a) + 1):
@@ -94,9 +106,14 @@ def _tally_task(spec: DeckSpec, lowest: range) -> dict:
             map(held.__add__, combinations(rest, n - len(held)))
             for held, rest in parts)
 
-    def tally(n, ways, hands):
+    def apart(n, suit):  # n values held once, the lowest in `suit`
+        return drawn(n, ((((p, suit),), singles[p + 1:])
+                         for p in upto(V - n + 1)))
+
+    def tally(n, ways, hands, mixed=0):
         # Hands of n natural cards, each of `ways` suit choices and
-        # C(W, 5 - n) wild subsets.
+        # C(W, 5 - n) wild subsets; five natural cards in one suit stand
+        # for their values in `mixed` other suit choices as well.
         weight = ways * binomial(W, 5 - n)
         if weight:
             categories = (
@@ -104,14 +121,20 @@ def _tally_task(spec: DeckSpec, lowest: range) -> dict:
                 if n < 5 else map(classify_pairs, hands, repeat(spec)))
             for category, count in Counter(categories).items():
                 tallies[category] += count * weight
+                if mixed:
+                    category = MIXED_SUITS.get(category, category)
+                    tallies[category] += count * mixed
 
     # One stream per shape of class, each over the p in `lowest` that hold
     # one of its classes: a Python step stands for one or more classes.
     for n in range(max(1, 5 - W), 6):  # natural cards per hand
-        # No value repeated, p the lowest: in one suit, or p apart.
-        for ways, suit in ((S, 1), (S ** n - S, 2)):
-            tally(n, ways, drawn(n, ((((p, suit),), singles[p + 1:])
-                                     for p in upto(V - n + 1))))
+        # No value repeated, p the lowest: in one suit, or p apart, which
+        # five cards take from their one-suit category.
+        if n == 5:
+            tally(n, S, apart(n, 1), mixed=S ** 5 - S)
+        else:
+            tally(n, S, apart(n, 1))
+            tally(n, S ** n - S, apart(n, 2))
         # p the lowest repeated value, in suits 1..a, maybe with a higher q
         # in suits 1..b; the other values are held once, in suit 1.
         for a in range(2, min(S, n) + 1):
@@ -139,7 +162,8 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     One hand is classified per multiset of natural values and per "all in
     one suit or not", weighted by the suit choices it stands for: a loop
     walks the repeated values, and `itertools.combinations` draws the ones
-    held once.
+    held once; five distinct natural values only in one suit, as mixed
+    suits only take the flush away.  The standard deck makes 6,175 calls.
     A deck is refused when its `class_count` exceeds ENUMERATION_CAP, and
     then when its counts could not be printed (`require_printable`).
     From POOL_CLASSES classes on, whichever of min(V, CPU count, workers) pool

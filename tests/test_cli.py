@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from parlorproofs import cli, graphs
+from parlorproofs import cli, graphs, oracle
 from parlorproofs.cli import run
 from parlorproofs.errors import MAX_DIGITS, QUOTE_LIMIT, quote
 
@@ -141,6 +141,20 @@ class TestPokerCommands:
         assert code == 2
         assert out == ""
         assert "the deck's 75287520 classes exceed" in capsys.readouterr().err
+
+    # The least two-suit deck past the cap is refused before any hand is
+    # classified.
+    def test_verify_refuses_two_suits_of_45_values(self, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("classifier called")
+
+        monkeypatch.setattr(oracle, "classify_pairs", unreachable)
+        monkeypatch.setattr(oracle, "best_completion", unreachable)
+        code, out = invoke("poker", "verify", "--values", "45", "--suits",
+                           "2")
+        assert code == 2
+        assert out == ""
+        assert "the deck's 1860309 classes exceed" in capsys.readouterr().err
 
     # The oracle decides from the deck whether a process pool pays, so no
     # flag sets a process count.

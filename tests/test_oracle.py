@@ -90,24 +90,32 @@ class TestTallyAll:
     def test_cap_counts_classes_not_hands(self, monkeypatch):
         # A cap at the standard deck's count admits it, and refuses one more
         # value or one wild.
-        monkeypatch.setattr(oracle, "ENUMERATION_CAP", 7_462)
+        monkeypatch.setattr(oracle, "ENUMERATION_CAP", 6_175)
         assert sum(tally_all(STANDARD_DECK).values()) == binomial(52, 5)
-        for spec, classes in ((DeckSpec(values=14, suits=4), 10_556),
-                              (DeckSpec(values=13, suits=4, wilds=1), 9_997)):
+        for spec, classes in ((DeckSpec(values=14, suits=4), 8_554),
+                              (DeckSpec(values=13, suits=4, wilds=1), 8_710)):
             with pytest.raises(EnumerationCapError, match=(
-                    f"deck's {classes} classes exceed the cap of 7462")):
+                    f"deck's {classes} classes exceed the cap of 6175")):
                 tally_all(spec)
 
     def test_cap_admits_the_readme_deck(self):
-        # The cap is the count of 39 values at S >= 5 with W >= 5, and the
+        # The cap is the count of 39 values at S >= 5 with W >= 5 from when
+        # the walk classified each set of five distinct values twice, a
+        # count of classifier calls that each cost what they do now.  The
         # count grows with V, S up to 5 and W up to 5: so every deck of up
-        # to 40 values without wilds, or 39 with wilds, is admitted at any
-        # S, and one suit admits 48 values, or 47 with wilds.
-        assert class_count(DeckSpec(39, 5, wilds=5)) == oracle.ENUMERATION_CAP
-        for values, suits, wilds in ([(40, 5, 0), (48, 1, 0), (47, 1, 5)]
-                                     + [(39, 5, w) for w in range(6)]):
+        # to 44 values without wilds, or 42 with wilds, is admitted at any
+        # S, and one suit admits 48 values, or 47 with wilds.  No deck is
+        # walked.
+        assert (class_count(DeckSpec(39, 5, wilds=5)) + binomial(39, 5)
+                == oracle.ENUMERATION_CAP)
+        for values, suits, wilds in ([(44, 5, 0), (48, 1, 0), (47, 1, 5)]
+                                     + [(42, 5, w) for w in range(6)]):
             spec = DeckSpec(values, suits, wilds=wilds)
             assert class_count(spec) <= oracle.ENUMERATION_CAP, spec
+        cap = oracle.ENUMERATION_CAP
+        assert (class_count(DeckSpec(44, 2)) <= cap
+                < class_count(DeckSpec(45, 2)))
+        assert cap < class_count(DeckSpec(43, 2, wilds=1))
 
     @pytest.fixture
     def no_classifier(self, monkeypatch):
@@ -126,8 +134,8 @@ class TestTallyAll:
     # The least decks past the cap in one and in two suits.
     @pytest.mark.parametrize("spec, classes", [
         (DeckSpec(values=49, suits=1), 1_906_884),
-        (DeckSpec(values=41, suits=2), 1_935_856),
-    ], ids=["49x1", "41x2"])
+        (DeckSpec(values=45, suits=2), 1_860_309),
+    ], ids=["49x1", "45x2"])
     def test_decks_past_the_cap_refused_before_any_classifier_call(
             self, no_classifier, spec, classes):
         with pytest.raises(EnumerationCapError,
@@ -151,6 +159,29 @@ class TestTallyAll:
         spec = DeckSpec(*shape, ace_rule=ace_rule)
         assert tally_all(spec) == plain_tally(spec)
 
+    # The walk classifies five distinct values in one suit only, and reads
+    # the category of the same values in mixed suits off it through
+    # oracle.MIXED_SUITS: the independent classifier must give, for every
+    # set of five values, categories that differ by exactly that map.
+    @pytest.mark.parametrize("ace_rule", list(AceRule))
+    def test_suit_bit_only_toggles_flushness(self, ace_rule):
+        mixed_of = {}
+        for V in range(5, 15):
+            classify = naive_classifier(DeckSpec(V, 2, ace_rule=ace_rule))
+            for values in combinations(range(1, V + 1), 5):
+                one_suit = classify([(v, 1) for v in values])
+                mixed = classify([(values[0], 2)]
+                                 + [(v, 1) for v in values[1:]])
+                assert mixed_of.setdefault(one_suit, mixed) == mixed, values
+        changed = {one: mixed for one, mixed in mixed_of.items()
+                   if one != mixed}
+        assert changed == {
+            HandCategory.ROYAL_FLUSH: HandCategory.STRAIGHT,
+            HandCategory.STRAIGHT_FLUSH: HandCategory.STRAIGHT,
+            HandCategory.FLUSH: HandCategory.HIGH_CARD,
+        }
+        assert oracle.MIXED_SUITS == changed
+
     @staticmethod
     def classifier_calls(monkeypatch, spec):
         calls = Counter()
@@ -172,30 +203,34 @@ class TestTallyAll:
     def test_classifies_one_hand_per_suit_choice(self, monkeypatch):
         # One classifier call per class of natural hands, or of natural
         # (5 - k)-subsets for k = 1..W wilds: per multiset of values and
-        # per "all in one suit or not".
+        # per "all in one suit or not", but one call for the two classes of
+        # five distinct values, whose categories differ only in flushness.
         V, S, W = 8, 4, 2
         calls = self.classifier_calls(monkeypatch, DeckSpec(V, S, wilds=W))
         assert calls == {
-            "natural": hand_class_count(V, S, 5),
+            "natural": hand_class_count(V, S, 5) - binomial(V, 5),
             "wild": sum(hand_class_count(V, S, 5 - k) for k in range(1, W + 1)),
         }
-        assert calls == {"natural": 840, "wild": 576}
-        assert class_count(DeckSpec(V, S, wilds=W)) == 1_416
+        assert calls == {"natural": 784, "wild": 576}
+        assert class_count(DeckSpec(V, S, wilds=W)) == 1_360
 
     def test_standard_deck_classifies_one_hand_per_suit_class(self, monkeypatch):
         # The standard deck's 2,598,960 hands fall into 7,462 classes of
-        # (values, one suit or not); hand_class_count(13, 4, 5) gives the
-        # same number, but takes seconds, so it is pinned here.
+        # (values, one suit or not), and the C(13, 5) = 1,287 classes of
+        # five distinct values in mixed suits are read off their one-suit
+        # classes; hand_class_count(13, 4, 5) gives the 7,462, but takes
+        # seconds, so it is pinned here.
         calls = self.classifier_calls(monkeypatch, STANDARD_DECK)
-        assert calls == {"natural": 7_462}
-        assert class_count(STANDARD_DECK) == 7_462
+        assert calls == {"natural": 7_462 - binomial(13, 5)}
+        assert class_count(STANDARD_DECK) == 6_175
 
     # Every hand handed to a classifier is real: distinct cards of values
     # 1..V and suits 1..S.  A card in suit 2 of a one-suit deck, or a card
     # held twice, would be classified as some category all the same.  And
     # class_count counts the calls, which on the small decks are the
     # classes of natural (5 - k)-subsets the independent checker finds,
-    # the all-wild hand the one empty subset.  7x4 and 6x3 W1, median
+    # the all-wild hand the one empty subset, less the C(V, 5) classes of
+    # five distinct values in mixed suits when S > 1.  7x4 and 6x3 W1, median
     # decks of the benchmark, skip lowest values and hold shapes of two
     # repeated values without a single card.
     @pytest.mark.parametrize("shape", PLAIN_SHAPES + [(13, 4, 0), (13, 4, 2),
@@ -227,7 +262,8 @@ class TestTallyAll:
         assert sum(calls.values()) == class_count(spec)
         if shape in PLAIN_SHAPES:
             assert class_count(spec) == sum(
-                hand_class_count(V, S, 5 - k) for k in range(min(W, 5) + 1))
+                hand_class_count(V, S, 5 - k) for k in range(min(W, 5) + 1)
+            ) - (binomial(V, 5) if S > 1 else 0)
 
     # Each Python step of the walk, one stream piece handed to
     # chain.from_iterable, holds at least one class: in one task and in
@@ -316,7 +352,10 @@ class TestTallyAll:
 
     # The deck's class count decides: every benchmark deck stays in one
     # process, as does 20x1, whose hands are its classes, and a deck whose
-    # count reaches POOL_CLASSES gets a pool.
+    # count reaches POOL_CLASSES gets a pool.  Each id names the deck's
+    # classes of (values, one suit or not); class_count, the classifier
+    # calls, is C(V, 5) fewer when S > 1, so 18x4 takes 26,316 calls in one
+    # process and 20x4 42,484 in a pool.
     @pytest.mark.parametrize("spec, pools", [
         (DeckSpec(values=5, suits=3), []),
         (DeckSpec(values=9, suits=4), []),
@@ -324,10 +363,12 @@ class TestTallyAll:
         (DeckSpec(values=13, suits=4, wilds=3), []),
         (DeckSpec(values=16, suits=6), []),
         (DeckSpec(values=20, suits=1), []),
-        (DeckSpec(values=18, suits=4), [3]),
+        (DeckSpec(values=18, suits=4), []),
+        (DeckSpec(values=20, suits=4), [3]),
     ], ids=["5x3-classes-102", "9x4-classes-1404", "standard-classes-7462",
             "13x4-w3-classes-10907", "16x6-classes-19872",
-            "20x1-classes-15504", "18x4-classes-34884"])
+            "20x1-classes-15504", "18x4-classes-34884",
+            "20x4-classes-57988"])
     def test_the_class_count_decides_the_pool(self, spec, pools,
                                               requested_pools):
         tallies = tally_all(spec)
