@@ -3,23 +3,24 @@ enumeration, at most one classifier call per class of hands that no
 category tells apart.
 
 The one assumption: a category depends on the suits only through whether
-all the natural cards share one suit, and for five distinct natural values
-that bit only toggles flushness.  So a hand's class is its multiset of
-natural values together with that one bit.  A class splits into R, its
-repeated values, each value x held a times in suits 1..a for C(S, a) suit
-choices, and T, its values held once, in suit 1.  Python loops walk R:
-the count a of its lowest value p and maybe the count b of a higher q, then
-p and q; `itertools.combinations` draws T from the values outside R, and
-`map` hands each class to a classifier.  Each Python step, one p or one
-(p, q), holds at least one class: with no value repeated, p runs only up to
-V - n + 1, and a shape with T empty, (2, 3), (3, 2) or (2, 2) with a
-wild, takes one step per p, `map` joining p's block to each higher q's.
+all the natural cards share one suit, and for distinct natural values,
+with or without wilds, that bit only toggles flushness.  So a hand's class
+is its multiset of natural values together with that one bit.  A class
+splits into R, its repeated values, each value x held a times in suits
+1..a for C(S, a) suit choices, and T, its values held once, in suit 1.
+Python loops walk R: the count a of its lowest value p and maybe the count
+b of a higher q, then p and q; `itertools.combinations` draws T from the
+values outside R, and `map` hands each class to a classifier.  Each Python
+step, one p or one (p, q), holds at least one class: with no value
+repeated, p runs only up to V - n + 1, and a shape with T empty, (2, 3),
+(3, 2) or (2, 2) with a wild, takes one step per p, `map` joining p's
+block to each higher q's.
 The classes of one shape, (a, b, |T|), are one stream, each standing for
 the same Π C(S, a)·S^|T| suit choices.  With no value repeated, the
-all-suit-1 cards stand for the S one-suit choices, and the same cards with
-the lowest in suit 2 for the other S^n - S, which for five natural cards
-are read off the one-suit category by MIXED_SUITS.  The standard deck makes
-6,175 classifier calls instead of 2,598,960 in 150 Python steps.
+all-suit-1 cards stand for the S one-suit choices, and the category of the
+other S^n - S, the same values in mixed suits, is read off the one-suit
+category by MIXED_SUITS[5 - n].  The standard deck makes 6,175 classifier
+calls instead of 2,598,960 in 150 Python steps.
 A hand holding k of the W wilds is a natural (5-k)-subset so drawn together
 with any of C(W, k) wild k-subsets, so it is weighted by C(W, k) as well;
 the C(W, 5) all-wild hands are added once.  Natural hands are classified by
@@ -48,33 +49,47 @@ from .hands import (CATEGORIES, HandCategory, best_completion,
                     classify_pairs, count_category, require_printable)
 
 # Class counts, in classifier calls: DeckSpec(39, 5, wilds=5)'s when each
-# set of five distinct values took two calls, the largest walked then
+# set of two to five distinct values took two calls, the largest walked then
 # (2.1-2.8 s in one process on 2 CPUs), and the least from which a pool
 # pays for itself.
 ENUMERATION_CAP = 1_753_896
 POOL_CLASSES = 30_000
 
 
-# The category of five distinct values not all in one suit, from theirs in
-# one suit: the suit bit only toggles flushness.
-MIXED_SUITS = {HandCategory.ROYAL_FLUSH: HandCategory.STRAIGHT,
-               HandCategory.STRAIGHT_FLUSH: HandCategory.STRAIGHT,
-               HandCategory.FLUSH: HandCategory.HIGH_CARD}
+# MIXED_SUITS[k]: the category of 5 - k distinct natural values not all in
+# one suit, completed by k wilds, from theirs in one suit; any other
+# category is its own.  Mixed suits only take the flush away, leaving the
+# better of the straight, when the values fit a run, and the best of a kind
+# with 1 + k cards; with k = 3 that is four of a kind, which outranks the
+# straight and leaves one suit no flush either.
+MIXED_SUITS = {
+    0: {HandCategory.ROYAL_FLUSH: HandCategory.STRAIGHT,
+        HandCategory.STRAIGHT_FLUSH: HandCategory.STRAIGHT,
+        HandCategory.FLUSH: HandCategory.HIGH_CARD},
+    1: {HandCategory.ROYAL_FLUSH: HandCategory.STRAIGHT,
+        HandCategory.STRAIGHT_FLUSH: HandCategory.STRAIGHT,
+        HandCategory.FLUSH: HandCategory.PAIR},
+    2: {HandCategory.ROYAL_FLUSH: HandCategory.STRAIGHT,
+        HandCategory.STRAIGHT_FLUSH: HandCategory.STRAIGHT,
+        HandCategory.FLUSH: HandCategory.THREE_OF_A_KIND},
+    3: {HandCategory.ROYAL_FLUSH: HandCategory.FOUR_OF_A_KIND,
+        HandCategory.STRAIGHT_FLUSH: HandCategory.FOUR_OF_A_KIND},
+}
 
 
 class EnumerationCapError(InputError):
-    """The deck's class count exceeds ENUMERATION_CAP."""
+    """The deck's classifier calls, `class_count`, exceed ENUMERATION_CAP."""
 
 
 def class_count(spec: DeckSpec) -> int:
     """The classifier calls `tally_all` makes: per n natural cards, C(V, n)
-    classes without a repeated value (twice when S > 1 and 1 < n < 5), and
-    per shape of repeated values (a) or (a, b) its choices of p (and q) and
-    T."""
+    for the sets of values without a repeat, each classified in one suit
+    only, and per shape of repeated values (a) or (a, b) its choices of p
+    (and q) and T."""
     V, S, W = spec.values, spec.suits, spec.wilds
     count = int(W >= 5)  # the all-wild hand
     for n in range(max(1, 5 - W), 6):
-        count += binomial(V, n) * (2 if S > 1 and 1 < n < 5 else 1)
+        count += binomial(V, n)
         for a in range(2, min(S, n) + 1):
             count += V * binomial(V - 1, n - a)
             for b in range(2, min(S, n - a) + 1):
@@ -106,35 +121,32 @@ def _tally_task(spec: DeckSpec, lowest: range) -> dict:
             map(held.__add__, combinations(rest, n - len(held)))
             for held, rest in parts)
 
-    def apart(n, suit):  # n values held once, the lowest in `suit`
-        return drawn(n, ((((p, suit),), singles[p + 1:])
+    def apart(n):  # n values held once, in suit 1
+        return drawn(n, (((singles[p],), singles[p + 1:])
                          for p in upto(V - n + 1)))
 
     def tally(n, ways, hands, mixed=0):
         # Hands of n natural cards, each of `ways` suit choices and
-        # C(W, 5 - n) wild subsets; five natural cards in one suit stand
+        # C(W, 5 - n) wild subsets; n distinct values in one suit stand
         # for their values in `mixed` other suit choices as well.
-        weight = ways * binomial(W, 5 - n)
-        if weight:
+        wilds = binomial(W, 5 - n)
+        if wilds:
             categories = (
                 map(best_completion, hands, repeat(5 - n), repeat(spec))
                 if n < 5 else map(classify_pairs, hands, repeat(spec)))
+            weight, mixed = ways * wilds, mixed * wilds
             for category, count in Counter(categories).items():
                 tallies[category] += count * weight
                 if mixed:
-                    category = MIXED_SUITS.get(category, category)
+                    category = MIXED_SUITS[5 - n].get(category, category)
                     tallies[category] += count * mixed
 
     # One stream per shape of class, each over the p in `lowest` that hold
     # one of its classes: a Python step stands for one or more classes.
     for n in range(max(1, 5 - W), 6):  # natural cards per hand
-        # No value repeated, p the lowest: in one suit, or p apart, which
-        # five cards take from their one-suit category.
-        if n == 5:
-            tally(n, S, apart(n, 1), mixed=S ** 5 - S)
-        else:
-            tally(n, S, apart(n, 1))
-            tally(n, S ** n - S, apart(n, 2))
+        # No value repeated, p the lowest: in one suit, and in mixed suits
+        # read off the one-suit category.
+        tally(n, S, apart(n), mixed=S ** n - S)
         # p the lowest repeated value, in suits 1..a, maybe with a higher q
         # in suits 1..b; the other values are held once, in suit 1.
         for a in range(2, min(S, n) + 1):
@@ -162,8 +174,9 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     One hand is classified per multiset of natural values and per "all in
     one suit or not", weighted by the suit choices it stands for: a loop
     walks the repeated values, and `itertools.combinations` draws the ones
-    held once; five distinct natural values only in one suit, as mixed
-    suits only take the flush away.  The standard deck makes 6,175 calls.
+    held once; distinct natural values only in one suit, with or without
+    wilds, as mixed suits only take the flush away.  The standard deck
+    makes 6,175 calls.
     A deck is refused when its `class_count` exceeds ENUMERATION_CAP, and
     then when its counts could not be printed (`require_printable`).
     From POOL_CLASSES classes on, whichever of min(V, CPU count, workers) pool
@@ -172,13 +185,13 @@ def tally_all(spec: DeckSpec, workers: Optional[int] = None) -> dict:
     Otherwise one task walks every value here.  Results are bit-identical.
     """
     V = spec.values
-    classes = class_count(spec)
-    if classes > ENUMERATION_CAP:
+    calls = class_count(spec)
+    if calls > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"the deck's {render_int(classes)} classes exceed the cap of "
-            f"{ENUMERATION_CAP}")
+            f"the deck's {render_int(calls)} classifier calls exceed the "
+            f"cap of {ENUMERATION_CAP}")
     require_printable(spec)  # the classes' weights grow with S and W
-    cpus = (os.cpu_count() or 1) if classes >= POOL_CLASSES else 1
+    cpus = (os.cpu_count() or 1) if calls >= POOL_CLASSES else 1
     processes = min(V, cpus, cpus if workers is None else workers)
     tallies = dict.fromkeys(CATEGORIES, 0)
     if processes <= 1:

@@ -216,3 +216,14 @@ def hand_class_count(values: int, suits: int, size: int) -> int:
     return len({(tuple(sorted(v for v, _ in hand)),
                  len({s for _, s in hand}) == 1)
                 for hand in combinations(cards, size)})
+
+
+def value_multiset_count(values: int, suits: int, size: int) -> int:
+    """Number of multisets of `size` values from 1..values that hold no
+    value more than `suits` times: the coefficient of x**size in
+    (1 + x + ... + x**suits)**values."""
+    coeffs = [1] + [0] * size
+    for _ in range(values):
+        coeffs = [sum(coeffs[j - i] for i in range(min(suits, j) + 1))
+                  for j in range(size + 1)]
+    return coeffs[size]

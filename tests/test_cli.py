@@ -140,7 +140,8 @@ class TestPokerCommands:
                            "1")
         assert code == 2
         assert out == ""
-        assert "the deck's 75287520 classes exceed" in capsys.readouterr().err
+        assert ("the deck's 75287520 classifier calls exceed"
+                in capsys.readouterr().err)
 
     # The least two-suit deck past the cap is refused before any hand is
     # classified.
@@ -154,7 +155,8 @@ class TestPokerCommands:
                            "2")
         assert code == 2
         assert out == ""
-        assert "the deck's 1860309 classes exceed" in capsys.readouterr().err
+        assert ("the deck's 1860309 classifier calls exceed"
+                in capsys.readouterr().err)
 
     # The oracle decides from the deck whether a process pool pays, so no
     # flag sets a process count.

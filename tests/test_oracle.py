@@ -22,7 +22,8 @@ from parlorproofs.oracle import (EnumerationCapError, class_count, tally_all,
 
 from fixtures import fixture_text
 from independent import (best_over_substitutions, hand_class_count,
-                         naive_classifier, natural_pairs)
+                         naive_classifier, natural_pairs,
+                         value_multiset_count)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -75,10 +76,10 @@ class TestTallyAll:
         assert sum(tally_all(spec).values()) == binomial(11, 5)
 
     def test_cap_refusal_names_the_required_count(self):
-        # 200 values in one suit make C(200, 5) classes, refused before any
-        # walk.
+        # 200 values in one suit make C(200, 5) classes, one classifier
+        # call each, refused before any walk.
         with pytest.raises(EnumerationCapError,
-                           match="deck's 2535650040 classes exceed"):
+                           match="deck's 2535650040 classifier calls exceed"):
             tally_all(DeckSpec(values=200, suits=1))
 
     def test_cap_refusal_on_a_count_too_long_to_print(self):
@@ -89,33 +90,47 @@ class TestTallyAll:
 
     def test_cap_counts_classes_not_hands(self, monkeypatch):
         # A cap at the standard deck's count admits it, and refuses one more
-        # value or one wild.
+        # value or one wild.  The walk makes one call per multiset of
+        # natural values, as many as independent.value_multiset_count
+        # counts.
         monkeypatch.setattr(oracle, "ENUMERATION_CAP", 6_175)
         assert sum(tally_all(STANDARD_DECK).values()) == binomial(52, 5)
-        for spec, classes in ((DeckSpec(values=14, suits=4), 8_554),
-                              (DeckSpec(values=13, suits=4, wilds=1), 8_710)):
+        for spec, calls in ((DeckSpec(values=14, suits=4), 8_554),
+                            (DeckSpec(values=13, suits=4, wilds=1), 7_995)):
+            assert calls == sum(value_multiset_count(spec.values, 4, n)
+                                for n in range(5 - spec.wilds, 6))
             with pytest.raises(EnumerationCapError, match=(
-                    f"deck's {classes} classes exceed the cap of 6175")):
+                    f"deck's {calls} classifier calls exceed the cap "
+                    "of 6175")):
                 tally_all(spec)
 
     def test_cap_admits_the_readme_deck(self):
         # The cap is the count of 39 values at S >= 5 with W >= 5 from when
-        # the walk classified each set of five distinct values twice, a
-        # count of classifier calls that each cost what they do now.  The
+        # the walk classified each set of two to five distinct values twice,
+        # a count of classifier calls that each cost what they do now.  The
         # count grows with V, S up to 5 and W up to 5: so every deck of up
-        # to 44 values without wilds, or 42 with wilds, is admitted at any
+        # to 44 values without wilds, or 43 with wilds, is admitted at any
         # S, and one suit admits 48 values, or 47 with wilds.  No deck is
         # walked.
-        assert (class_count(DeckSpec(39, 5, wilds=5)) + binomial(39, 5)
+        assert (class_count(DeckSpec(39, 5, wilds=5))
+                + sum(binomial(39, n) for n in range(2, 6))
                 == oracle.ENUMERATION_CAP)
         for values, suits, wilds in ([(44, 5, 0), (48, 1, 0), (47, 1, 5)]
-                                     + [(42, 5, w) for w in range(6)]):
+                                     + [(43, 5, w) for w in range(6)]):
             spec = DeckSpec(values, suits, wilds=wilds)
             assert class_count(spec) <= oracle.ENUMERATION_CAP, spec
         cap = oracle.ENUMERATION_CAP
         assert (class_count(DeckSpec(44, 2)) <= cap
                 < class_count(DeckSpec(45, 2)))
-        assert cap < class_count(DeckSpec(43, 2, wilds=1))
+        assert (class_count(DeckSpec(43, 5, wilds=5)) == 1_712_304 <= cap
+                < class_count(DeckSpec(44, 2, wilds=1)) == 1_845_173)
+        # One call per multiset of natural values, and one for the all-wild
+        # hand, as counted independently.
+        for values, suits, wilds in ((43, 5, 5), (44, 2, 1), (44, 2, 0),
+                                     (45, 2, 0), (48, 1, 0), (47, 1, 5)):
+            assert class_count(DeckSpec(values, suits, wilds=wilds)) == sum(
+                value_multiset_count(values, suits, n)
+                for n in range(max(0, 5 - wilds), 6))
 
     @pytest.fixture
     def no_classifier(self, monkeypatch):
@@ -132,14 +147,14 @@ class TestTallyAll:
             tally_all(DeckSpec(values=100, suits=1))
 
     # The least decks past the cap in one and in two suits.
-    @pytest.mark.parametrize("spec, classes", [
+    @pytest.mark.parametrize("spec, calls", [
         (DeckSpec(values=49, suits=1), 1_906_884),
         (DeckSpec(values=45, suits=2), 1_860_309),
     ], ids=["49x1", "45x2"])
     def test_decks_past_the_cap_refused_before_any_classifier_call(
-            self, no_classifier, spec, classes):
+            self, no_classifier, spec, calls):
         with pytest.raises(EnumerationCapError,
-                           match=f"deck's {classes} classes exceed"):
+                           match=f"deck's {calls} classifier calls exceed"):
             tally_all(spec)
 
     # Their classes are few, but every class weighs C(S, a) or C(W, k) of
@@ -159,26 +174,39 @@ class TestTallyAll:
         spec = DeckSpec(*shape, ace_rule=ace_rule)
         assert tally_all(spec) == plain_tally(spec)
 
-    # The walk classifies five distinct values in one suit only, and reads
-    # the category of the same values in mixed suits off it through
-    # oracle.MIXED_SUITS: the independent classifier must give, for every
-    # set of five values, categories that differ by exactly that map.
+    # The walk classifies 5 - k distinct values in one suit only, and reads
+    # the category of the same values in mixed suits, completed by the same
+    # k wilds, off it through oracle.MIXED_SUITS[k]: the independent
+    # checkers must give, for every set of 5 - k values, categories that
+    # differ by exactly that map.  Wild hands are searched in V 1-9, every
+    # substitution tried.
     @pytest.mark.parametrize("ace_rule", list(AceRule))
     def test_suit_bit_only_toggles_flushness(self, ace_rule):
-        mixed_of = {}
-        for V in range(5, 15):
-            classify = naive_classifier(DeckSpec(V, 2, ace_rule=ace_rule))
-            for values in combinations(range(1, V + 1), 5):
-                one_suit = classify([(v, 1) for v in values])
-                mixed = classify([(values[0], 2)]
-                                 + [(v, 1) for v in values[1:]])
-                assert mixed_of.setdefault(one_suit, mixed) == mixed, values
-        changed = {one: mixed for one, mixed in mixed_of.items()
-                   if one != mixed}
+        mixed_of = {k: {} for k in range(4)}
+        for V in range(1, 15):
+            # Three wilds make a deck of V < 3; the checkers read no wild.
+            spec = DeckSpec(V, 2, wilds=3, ace_rule=ace_rule)
+            classify = naive_classifier(spec)
+            for k in range(4) if V < 10 else (0,):
+                for values in combinations(range(1, V + 1), 5 - k):
+                    cards = [(v, 1) for v in values]
+                    hands = cards, [(values[0], 2)] + cards[1:]
+                    one_suit, mixed = (
+                        best_over_substitutions(hand, k, spec) if k
+                        else classify(hand) for hand in hands)
+                    assert mixed_of[k].setdefault(one_suit, mixed) == mixed, \
+                        (k, values)
+        changed = {k: {one: mixed for one, mixed in row.items()
+                       if one != mixed}
+                   for k, row in mixed_of.items()}
+        runs = {HandCategory.ROYAL_FLUSH: HandCategory.STRAIGHT,
+                HandCategory.STRAIGHT_FLUSH: HandCategory.STRAIGHT}
         assert changed == {
-            HandCategory.ROYAL_FLUSH: HandCategory.STRAIGHT,
-            HandCategory.STRAIGHT_FLUSH: HandCategory.STRAIGHT,
-            HandCategory.FLUSH: HandCategory.HIGH_CARD,
+            0: {**runs, HandCategory.FLUSH: HandCategory.HIGH_CARD},
+            1: {**runs, HandCategory.FLUSH: HandCategory.PAIR},
+            2: {**runs, HandCategory.FLUSH: HandCategory.THREE_OF_A_KIND},
+            3: {HandCategory.ROYAL_FLUSH: HandCategory.FOUR_OF_A_KIND,
+                HandCategory.STRAIGHT_FLUSH: HandCategory.FOUR_OF_A_KIND},
         }
         assert oracle.MIXED_SUITS == changed
 
@@ -204,15 +232,16 @@ class TestTallyAll:
         # One classifier call per class of natural hands, or of natural
         # (5 - k)-subsets for k = 1..W wilds: per multiset of values and
         # per "all in one suit or not", but one call for the two classes of
-        # five distinct values, whose categories differ only in flushness.
+        # n distinct values, whose categories differ only in flushness.
         V, S, W = 8, 4, 2
         calls = self.classifier_calls(monkeypatch, DeckSpec(V, S, wilds=W))
         assert calls == {
             "natural": hand_class_count(V, S, 5) - binomial(V, 5),
-            "wild": sum(hand_class_count(V, S, 5 - k) for k in range(1, W + 1)),
+            "wild": sum(hand_class_count(V, S, 5 - k) - binomial(V, 5 - k)
+                        for k in range(1, W + 1)),
         }
-        assert calls == {"natural": 784, "wild": 576}
-        assert class_count(DeckSpec(V, S, wilds=W)) == 1_360
+        assert calls == {"natural": 784, "wild": 450}
+        assert class_count(DeckSpec(V, S, wilds=W)) == 1_234
 
     def test_standard_deck_classifies_one_hand_per_suit_class(self, monkeypatch):
         # The standard deck's 2,598,960 hands fall into 7,462 classes of
@@ -229,10 +258,10 @@ class TestTallyAll:
     # held twice, would be classified as some category all the same.  And
     # class_count counts the calls, which on the small decks are the
     # classes of natural (5 - k)-subsets the independent checker finds,
-    # the all-wild hand the one empty subset, less the C(V, 5) classes of
-    # five distinct values in mixed suits when S > 1.  7x4 and 6x3 W1, median
-    # decks of the benchmark, skip lowest values and hold shapes of two
-    # repeated values without a single card.
+    # the all-wild hand the one empty subset, less the C(V, n) classes of n
+    # distinct values in mixed suits for each n >= 2 when S > 1.  7x4 and
+    # 6x3 W1, median decks of the benchmark, skip lowest values and hold
+    # shapes of two repeated values without a single card.
     @pytest.mark.parametrize("shape", PLAIN_SHAPES + [(13, 4, 0), (13, 4, 2),
                                                       (7, 4, 0), (6, 3, 1)],
                              ids="v{0[0]}s{0[1]}w{0[2]}".format)
@@ -263,7 +292,8 @@ class TestTallyAll:
         if shape in PLAIN_SHAPES:
             assert class_count(spec) == sum(
                 hand_class_count(V, S, 5 - k) for k in range(min(W, 5) + 1)
-            ) - (binomial(V, 5) if S > 1 else 0)
+            ) - (sum(binomial(V, n) for n in range(max(2, 5 - W), 6))
+                 if S > 1 else 0)
 
     # Each Python step of the walk, one stream piece handed to
     # chain.from_iterable, holds at least one class: in one task and in
@@ -354,8 +384,8 @@ class TestTallyAll:
     # process, as does 20x1, whose hands are its classes, and a deck whose
     # count reaches POOL_CLASSES gets a pool.  Each id names the deck's
     # classes of (values, one suit or not); class_count, the classifier
-    # calls, is C(V, 5) fewer when S > 1, so 18x4 takes 26,316 calls in one
-    # process and 20x4 42,484 in a pool.
+    # calls, is C(V, n) fewer for each n >= 2 natural cards when S > 1, so
+    # 18x4 takes 26,316 calls in one process and 20x4 42,484 in a pool.
     @pytest.mark.parametrize("spec, pools", [
         (DeckSpec(values=5, suits=3), []),
         (DeckSpec(values=9, suits=4), []),
